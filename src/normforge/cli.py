@@ -24,13 +24,12 @@ class RunConfig:
     """Per-invocation knobs: deterministic seed and positive resource caps."""
 
     seed: int = 0
-    height_cap: int = 10 ** 6
     depth_cap: int = 64
     precision_cap: int = 512
     out: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("height_cap", "depth_cap", "precision_cap"):
+        for name in ("depth_cap", "precision_cap"):
             if getattr(self, name) <= 0:
                 raise NormforgeError(f"{name} must be positive")
 
@@ -40,7 +39,6 @@ class RunConfig:
         seed = int(env) if env is not None else getattr(args, "seed", 0) or 0
         return cls(
             seed=seed,
-            height_cap=getattr(args, "height_cap", None) or 10 ** 6,
             depth_cap=getattr(args, "depth_cap", None) or 64,
             precision_cap=getattr(args, "precision_cap", None) or 512,
             out=getattr(args, "out", None),
@@ -265,7 +263,6 @@ def cmd_ec_lemmas(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="normforge", description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--height-cap", type=int, dest="height_cap")
     parser.add_argument("--depth-cap", type=int, dest="depth_cap")
     parser.add_argument("--precision-cap", type=int, dest="precision_cap")
     sub = parser.add_subparsers(dest="command")

@@ -506,7 +506,7 @@ def _substitute_var(poly, index, replacement):
     return out
 
 
-def realize_w(field, q, S=(), hat=False, height_cap=10 ** 6):
+def realize_w(field, q, S=(), hat=False):
     """An element with the divisor shape the difference formulas prescribe.
 
     w has order 3 v(q) at every prime over q and order 1 at each S-prime;
@@ -519,7 +519,7 @@ def realize_w(field, q, S=(), hat=False, height_cap=10 ** 6):
     vals = [(Qp, 3 * Qp.e) for Qp in st(field, q)]
     if not hat:
         vals += [(P, 1) for P in S]
-    return strong_approx_element(field, valuations=vals, height_cap=height_cap)
+    return strong_approx_element(field, valuations=vals)
 
 
 def compile_definition(variant, q, field=None, S=(), w_data=None):

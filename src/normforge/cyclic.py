@@ -6,6 +6,12 @@ minimal polynomial is expanded with exact arithmetic in Z[xi_ell], no floats.
 Residue degrees in the subfield come straight from the image of p in the
 quotient group (Z/ell)*/H, which is the Frobenius.
 
+Periods, Lagrange resolvents and 2 cos(2 pi / m) are sums of roots of unity
+with integer coefficients, so they are computed as integer vectors in
+Z[x]/(x^n - 1), where a product is a cyclic convolution.  That ring maps onto
+Q(xi_n) = Q[x]/Phi_n, and a vector is reduced mod Phi_n only where its
+coordinates are read.
+
 The auxiliary prime search realizes the construction "ell == 1 mod q^m with
 q not a q-th power mod ell"; the degree-q layer generator of the compositum
 is produced explicitly as a Lagrange resolvent q-th power in Z[xi_{q ell}].
@@ -56,10 +62,15 @@ def find_auxiliary_ell(q, m, bound=10 ** 5):
 
     For q = 2 the modulus is raised to at least 4 so the quadratic subfield
     of Q(xi_ell) is totally real ((ell-1)/2 even); higher 2-power levels
-    cannot be totally real at all (ell == 1 mod 8 forces 2 to be a square).
+    have no such ell at all (ell == 1 mod 8 forces 2 to be a square), so
+    that case raises at once.
     """
     if not is_prime(q) or m < 1:
         raise NormforgeError("q must be prime and m >= 1")
+    if q == 2 and m >= 3:
+        raise SearchExhausted(
+            "no auxiliary prime exists: ell == 1 (mod 8) makes 2 a square mod ell"
+        )
     step = q ** m
     if q == 2:
         step = max(step, 4)
@@ -87,49 +98,45 @@ def subgroup_of_index(ell, d):
     return sorted({pow(y, d, ell) for y in range(1, ell)})
 
 
-class CycloVec:
-    """Element of Q(xi_n) as a UniPoly reduced mod the n-th cyclotomic."""
+def _root_power(n, k):
+    """xi_n^k as a vector in Z[x]/(x^n - 1)."""
+    vec = [0] * n
+    vec[k % n] = 1
+    return vec
 
-    __slots__ = ("n", "poly")
 
-    def __init__(self, n, poly):
-        self.n = n
-        self.poly = poly % cyclotomic_poly(n)
+def _cyclic_mul(a, b):
+    """Product in Z[x]/(x^n - 1): a cyclic convolution over the nonzero entries of a."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for k in range(n):
+                out[k] += x * b[k - i]  # a negative index wraps round mod n
+    return out
 
-    @classmethod
-    def root_power(cls, n, k):
-        return cls(n, UniPoly.monomial(Fraction(1), k % n))
 
-    @classmethod
-    def integer(cls, n, c):
-        return cls(n, UniPoly([Fraction(c)]))
+def _cyclotomic_coords(vec, n):
+    """Coordinates in the power basis of Q(xi_n) of a vector in Z[x]/(x^n - 1)."""
+    phi = cyclotomic_poly(n)
+    red = (UniPoly(vec) % phi).coeffs
+    return red + [Fraction(0)] * (phi.degree - len(red))
 
-    def __add__(self, other):
-        return CycloVec(self.n, self.poly + other.poly)
 
-    def __sub__(self, other):
-        return CycloVec(self.n, self.poly - other.poly)
+def _periods(ell, H, n, scale):
+    """The periods sum_{h in H} xi_ell^(g^j h), j < [(Z/ell)* : H], in Z[x]/(x^n - 1).
 
-    def __mul__(self, other):
-        return CycloVec(self.n, self.poly * other.poly)
-
-    def __pow__(self, e):
-        out = CycloVec.integer(self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def is_rational(self):
-        return all(c == 0 for c in self.poly.coeffs[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise NormforgeError("cyclotomic element is not rational")
-        return self.poly.coeffs[0] if self.poly.coeffs else Fraction(0)
+    xi_ell is taken as xi_n^scale, so n = scale * ell.
+    """
+    g = _primitive_root(ell)
+    out = []
+    for j in range((ell - 1) // len(H)):
+        rep = pow(g, j, ell)
+        vec = [0] * n
+        for h in H:
+            vec[scale * (rep * h % ell)] += 1
+        out.append(vec)
+    return out
 
 
 def gaussian_period_subfield(ell, d):
@@ -144,26 +151,18 @@ def gaussian_period_subfield(ell, d):
     H = subgroup_of_index(ell, d)
     if d == 1:
         return CyclicFieldData(ell, 1, UniPoly([1, 1]), H)
-    g = _primitive_root(ell)
-    periods = []
-    for j in range(d):
-        rep = pow(g, j, ell)
-        acc = CycloVec.integer(ell, 0)
-        for h in H:
-            acc = acc + CycloVec.root_power(ell, rep * h)
-        periods.append(acc)
-    coeffs = [CycloVec.integer(ell, 1)]
-    for eta in periods:
-        new = [CycloVec.integer(ell, 0) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] - c * eta
-        coeffs = new
+    zero = [0] * ell
+    coeffs = [_root_power(ell, 0)]
+    for eta in _periods(ell, H, ell, 1):
+        # multiply by (y - eta): shift up, subtract eta times the old coefficients
+        lower = [_cyclic_mul(eta, c) for c in coeffs] + [zero]
+        coeffs = [[u - v for u, v in zip(up, low)] for up, low in zip([zero] + coeffs, lower)]
     rat = []
     for c in coeffs:
-        if not c.is_rational():
+        coords = _cyclotomic_coords(c, ell)
+        if any(coords[1:]):
             raise AssertionError("period polynomial has an irrational coefficient")
-        rat.append(c.rational_value())
+        rat.append(coords[0])
     poly = UniPoly(rat)
     assert poly.is_monic() and poly.degree == d
     if not is_irreducible_over_q(poly):
@@ -254,19 +253,13 @@ def kummer_generator(ell, q):
 
     n = q * ell
     Hdata = gaussian_period_subfield(ell, q)
-    g = _primitive_root(ell)
-    periods = []
-    for j in range(q):
-        rep = pow(g, j, ell)
-        acc = CycloVec.integer(n, 0)
-        for h in Hdata.subgroup:
-            acc = acc + CycloVec.root_power(n, q * rep * h)  # xi_ell = xi_n^q
-        periods.append(acc)
-    xi_q = CycloVec.root_power(n, ell)  # xi_q = xi_n^ell
-    resolvent = CycloVec.integer(n, 0)
-    for j, eta in enumerate(periods):
-        resolvent = resolvent + (xi_q ** j) * eta
-    a_vec = resolvent ** q
+    resolvent = [0] * n
+    for j, eta in enumerate(_periods(ell, Hdata.subgroup, n, q)):  # xi_ell = xi_n^q
+        term = _cyclic_mul(_root_power(n, ell * j), eta)  # xi_q = xi_n^ell
+        resolvent = [a + b for a, b in zip(resolvent, term)]
+    a_vec = resolvent
+    for _ in range(q - 1):
+        a_vec = _cyclic_mul(resolvent, a_vec)
     K = NumberField.cyclotomic(q)
     coords = _project_to_cyclotomic_subfield(a_vec, n, ell, q)
     a = K.element(coords)
@@ -286,18 +279,16 @@ def real_cyclotomic_minpoly(m):
     if m < 3:
         raise NormforgeError("m must be at least 3")
     d = euler_phi(m) // 2
-    beta = CycloVec.root_power(m, 1) + CycloVec.root_power(m, m - 1)
-    dim = cyclotomic_poly(m).degree
-    powers = [CycloVec.integer(m, 1)]
+    beta = _root_power(m, 1)
+    beta[m - 1] = 1
+    power = _root_power(m, 0)
+    coords = [_cyclotomic_coords(power, m)]
     for _ in range(d):
-        powers.append(powers[-1] * beta)
-
-    def vec_of(cv):
-        return [cv.poly.coeffs[i] if i < len(cv.poly.coeffs) else Fraction(0)
-                for i in range(dim)]
-
-    mat = [[vec_of(powers[k])[i] for k in range(d)] for i in range(dim)]
-    rhs = [-x for x in vec_of(powers[d])]
+        power = _cyclic_mul(beta, power)
+        coords.append(_cyclotomic_coords(power, m))
+    dim = len(coords[0])
+    mat = [[coords[k][i] for k in range(d)] for i in range(dim)]
+    rhs = [-x for x in coords[d]]
     sol = _solve_linear(mat, rhs)
     if sol is None:
         raise AssertionError("power basis of 2cos(2pi/m) is degenerate")
@@ -308,16 +299,9 @@ def real_cyclotomic_minpoly(m):
 
 def _project_to_cyclotomic_subfield(vec, n, ell, q):
     """Coordinates of vec in the power basis of Q(xi_q), xi_q = xi_n^ell."""
-    basis = [CycloVec.root_power(n, ell * i).poly for i in range(q - 1)]
-    target = vec.poly
-    dim = cyclotomic_poly(n).degree
-    mat = [[Fraction(0)] * (q - 1) for _ in range(dim)]
-    rhs = [Fraction(0)] * dim
-    for j, b in enumerate(basis):
-        for i in range(dim):
-            mat[i][j] = b.coeffs[i] if i < len(b.coeffs) else Fraction(0)
-    for i in range(dim):
-        rhs[i] = target.coeffs[i] if i < len(target.coeffs) else Fraction(0)
+    basis = [_cyclotomic_coords(_root_power(n, ell * i), n) for i in range(q - 1)]
+    rhs = _cyclotomic_coords(vec, n)
+    mat = [[b[i] for b in basis] for i in range(len(rhs))]
     sol = _solve_linear(mat, rhs)
     if sol is None:
         raise NormforgeError("element does not lie in the cyclotomic subfield")

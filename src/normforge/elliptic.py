@@ -116,21 +116,6 @@ def multiply_point(E, P, n):
     return result
 
 
-class DenominatorDatum:
-    """Denominator and numerator of x_n in lowest terms."""
-
-    __slots__ = ("n", "denominator", "numerator")
-
-    def __init__(self, n, x_value):
-        self.n = n
-        frac = Fraction(x_value)
-        self.denominator = frac.denominator
-        self.numerator = frac.numerator
-
-    def to_json(self):
-        return {"n": self.n, "d": str(self.denominator), "num": str(self.numerator)}
-
-
 class MultipleCache:
     """Exact x-coordinates of [n]P with memoized additions."""
 
@@ -153,12 +138,6 @@ class MultipleCache:
         if pt.is_infinity():
             return None
         return pt.x
-
-    def datum(self, n):
-        x = self.x(n)
-        if x is None:
-            raise NormforgeError(f"[{n}]P is the point at infinity")
-        return DenominatorDatum(n, x)
 
 
 def certify_infinite_order(E, P, bound=12):
@@ -271,18 +250,12 @@ def weak_vertical_check(upper_field, lower_degree, prime, u, pairs, disc_order=0
         if coord == 0:
             report["coordinates"].append({"r": r, "v": "inf", "bound": ell, "ok": True})
             continue
-        v = _rational_valuation_at(upper_field, prime, coord)
+        v = valuation(upper_field, prime, upper_field.element(coord))
         ok = v >= ell
         report["coordinates"].append({"r": r, "v": str(v), "bound": ell, "ok": bool(ok)})
         if not ok:
             report["consistent"] = False
     return report
-
-
-def _rational_valuation_at(field, prime, value):
-    from .numberfield import valuation
-
-    return valuation(field, prime, field.element(value))
 
 
 def elliptic_definition_eval(E, P, q, p, b_order, u, z_battery, m=1, r_max=30, k_val=None):

@@ -165,19 +165,3 @@ def power_test_in_extension(a, q, ext_f):
         return True
     e = (big // q) % (field.order - 1)
     return a ** e == field.one()
-
-
-def find_non_qth_power(field, q):
-    """Deterministically smallest unit that is not a q-th power.
-
-    Raises NormforgeError when every unit is a q-th power (q does not divide
-    the group order).
-    """
-    if (field.order - 1) % q != 0:
-        raise NormforgeError("all units are q-th powers here")
-    for a in field.elements():
-        if a.is_zero():
-            continue
-        if not power_residue_test(a, field, q):
-            return a
-    raise NormforgeError("unreachable: no non-q-th power found")

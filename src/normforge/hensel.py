@@ -16,48 +16,15 @@ into [0, p^m).
 from .errors import NormforgeError, NotSquarefreeAtP
 from .modp import (
     factor_poly_mod_p,
+    padd,
+    pdivmod,
     pgcd,
     pgcd_ext,
     pmul,
     pnormalize,
+    psub,
     trim,
 )
-
-
-def _mod_reduce(a, q):
-    return trim([c % q for c in a])
-
-
-def _mul_mod(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    return trim(out)
-
-
-def _sub_mod(a, b, q):
-    n = max(len(a), len(b))
-    return trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % q for i in range(n)])
-
-
-def _divmod_monic(a, b, q):
-    """Division by monic b with coefficients mod q."""
-    assert b and b[-1] == 1
-    a = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and trim(a) and len(a) >= len(b):
-        coef = a[-1] % q
-        shift = len(a) - len(b)
-        quo[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * c) % q
-        a.pop()
-        trim(a)
-    return trim(quo), trim(a)
 
 
 def _lift_pair(f, g, h, s, t, p, k):
@@ -66,24 +33,15 @@ def _lift_pair(f, g, h, s, t, p, k):
     Invariants: f == g*h mod p^k, s*g + t*h == 1 mod p, g monic.
     """
     q = p ** (k + 1)
-    e = _sub_mod(f, _mul_mod(g, h, q), q)
+    e = psub(f, pmul(g, h, q), q)
     assert all(c % p ** k == 0 for c in e)
     delta = pnormalize([c // p ** k for c in e], p)
     # correction: g += p^k * (t*delta mod g), h += p^k * (s*delta + carry)
-    tg = pmul(t, delta, p)
-    qq, rr = _divmod_monic(tg, [c % p for c in g], p)
-    gcorr = rr
-    hcorr = pnormalize(
-        [x + y for x, y in _zip_pad(pmul(s, delta, p), pmul(qq, [c % p for c in h], p))], p
-    )
-    g2 = _mod_reduce([a + p ** k * b for a, b in _zip_pad(g, gcorr)], q)
-    h2 = _mod_reduce([a + p ** k * b for a, b in _zip_pad(h, hcorr)], q)
+    qq, gcorr = pdivmod(pmul(t, delta, p), g, p)
+    hcorr = padd(pmul(s, delta, p), pmul(qq, h, p), p)
+    g2 = padd(g, [p ** k * c for c in gcorr], q)
+    h2 = padd(h, [p ** k * c for c in hcorr], q)
     return g2, h2
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)) for i in range(n)]
 
 
 def lift_pair_to(f, g0, h0, p, m):
@@ -94,7 +52,7 @@ def lift_pair_to(f, g0, h0, p, m):
     g, h = [c % p for c in g0], [c % p for c in h0]
     for k in range(1, m):
         g, h = _lift_pair(f, g, h, s, t, p, k)
-    return _mod_reduce(g, p ** m), _mod_reduce(h, p ** m)
+    return pnormalize(g, p ** m), pnormalize(h, p ** m)
 
 
 def lift_blocks(f, blocks, p, m):
@@ -105,7 +63,7 @@ def lift_blocks(f, blocks, p, m):
     """
     f = [c % p ** m for c in f]
     if len(blocks) == 1:
-        return [_mod_reduce(f, p ** m)]
+        return [pnormalize(f, p ** m)]
     for a_i, b_i in _pairs(blocks):
         if len(pgcd(a_i, b_i, p)) != 1:
             raise NotSquarefreeAtP("blocks are not pairwise coprime mod p")
@@ -148,7 +106,7 @@ def hensel_lift_factorization(f, p, m, seed=None):
         f = [c * inv % p ** m for c in f]
     blocks = [g for g, _ in factors]
     if len(blocks) == 1:
-        return [_mod_reduce(f, p ** m)]
+        return [pnormalize(f, p ** m)]
     return lift_blocks(f, blocks, p, m)
 
 
@@ -162,23 +120,21 @@ def crt_idempotents(blocks, p, m):
     out = []
     full = [1]
     for b in blocks:
-        full = _mul_mod(full, b, q)
+        full = pmul(full, b, q)
     for i, b in enumerate(blocks):
         others = [1]
         for j, c in enumerate(blocks):
             if j != i:
-                others = _mul_mod(others, c, q)
+                others = pmul(others, c, q)
         # invert `others` modulo (b, p^m): Newton-lift the mod-p inverse
         inv = _invert_mod(others, b, p, m)
-        e = _mul_mod(others, inv, q)
-        _, e = _divmod_monic(e, full, q)
-        out.append(e)
+        out.append(pdivmod(pmul(others, inv, q), full, q)[1])
     return out
 
 
 def _invert_mod(a, modulus, p, m):
     """Inverse of a modulo (monic modulus, p^m); a must be a unit mod p."""
-    g, s, _ = pgcd_ext([c % p for c in a], [c % p for c in modulus], p)
+    g, s, _ = pgcd_ext(pnormalize(a, p), pnormalize(modulus, p), p)
     if len(g) != 1:
         raise NormforgeError("not invertible mod p")
     inv = s
@@ -186,10 +142,7 @@ def _invert_mod(a, modulus, p, m):
     while k < m:
         k = min(2 * k, m)
         q = p ** k
-        prod = _mul_mod(a, inv, q)
-        _, prod = _divmod_monic(prod, [c % q for c in modulus], q)
+        prod = pdivmod(pmul(a, inv, q), modulus, q)[1]
         # inv <- inv * (2 - a*inv)
-        two_minus = _sub_mod([2], prod, q)
-        inv = _mul_mod(inv, two_minus, q)
-        _, inv = _divmod_monic(inv, [c % q for c in modulus], q)
+        inv = pdivmod(pmul(inv, psub([2], prod, q), q), modulus, q)[1]
     return inv

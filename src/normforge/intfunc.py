@@ -119,6 +119,12 @@ def valuation_fraction(x, p):
     return valuation_int(x.numerator, p) - valuation_int(x.denominator, p)
 
 
+def centered_residue(c, q):
+    """The residue of c mod q in (-q/2, q/2]."""
+    c %= q
+    return c - q if c > q // 2 else c
+
+
 def crt(residues, moduli):
     """Smallest nonnegative solution of x == r_i mod m_i (coprime moduli)."""
     x, m = 0, 1

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import MissingTrace, NormforgeError
 from .finitefield import power_test_in_extension
-from .intfunc import valuation_fraction
+from .intfunc import multiplicative_order, valuation_fraction
 
 
 class LocalVerdict:
@@ -76,9 +76,6 @@ class Tracked:
         self.v = v
         self.residue = residue  # FFElem in the recording residue field, or None
         self.fresh = fresh
-
-    def copy(self):
-        return Tracked(self.v, self.residue, self.fresh)
 
     def __repr__(self):
         return f"Tracked(v={self.v}, fresh={self.fresh})"
@@ -208,7 +205,7 @@ def radical_children(lp, u_key, q, u_minus_one_key=None, xi_q=True):
     if xi_q:
         # xi_q in the field forces q | p^f - 1 at unramified tame primes
         raise NormforgeError("xi_q claimed but q does not divide the residue group order")
-    d = _ord_mod(p, lp.f, q)
+    d = multiplicative_order(pow(p, lp.f, q), q)
     kids = [lp.child(note=f"tame-root({u_key}): unique root, local degree 1")]
     for _ in range((q - 1) // d):
         kids.append(lp.child(f_mult=d, note=f"tame-orbit({u_key}): zeta_q orbit of size {d}"))
@@ -222,16 +219,6 @@ def extend_by_radical(lp, u_key, q, u_minus_one_key=None):
 
 def q_divides_group(p, f, q):
     return (pow(p, f, q) - 1) % q == 0
-
-
-def _ord_mod(p, f, q):
-    a = pow(p, f, q)
-    d = 1
-    cur = a
-    while cur != 1:
-        cur = cur * a % q
-        d += 1
-    return d
 
 
 def conservation_total(children, parent):

@@ -1,9 +1,20 @@
-"""Dense polynomial arithmetic over F_p and factorization mod p.
+"""Dense polynomial arithmetic mod m, and factorization over F_p.
 
-Polynomials are plain lists of ints in [0, p), ascending degree, trailing
-zeros stripped.  Factorization is squarefree decomposition, then
-distinct-degree splitting, then Cantor-Zassenhaus equal-degree splitting
-driven by a seeded deterministic generator so outputs are reproducible.
+Polynomials are plain lists of ints in [0, m), ascending degree, trailing
+zeros stripped.  This is the one mod-m polynomial kernel of the package:
+F_p arithmetic here, and Z/p^k arithmetic for Hensel lifting and local
+blocks elsewhere.  The modulus contract:
+
+* padd, psub and pmul take any modulus m >= 2;
+* pdivmod (and pmod) need a leading coefficient of the divisor that is
+  invertible mod m, so over Z/p^k the divisor must be monic (or have a unit
+  leading coefficient);
+* pgcd, pgcd_ext, ppow_mod, the irreducibility test and factoring need m
+  prime.
+
+Factorization is squarefree decomposition, then distinct-degree splitting,
+then Cantor-Zassenhaus equal-degree splitting driven by a seeded
+deterministic generator so outputs are reproducible.
 """
 
 import random
@@ -41,19 +52,17 @@ def pmul(a, b, p):
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return trim(out)
+                out[i + j] += x * y
+    return pnormalize(out, p)
 
 
 def pdivmod(a, b, p):
     if not b:
         raise ZeroDivisionError
-    a = list(a)
+    a = pnormalize(a, p)
     inv = pow(b[-1], -1, p)
     q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and trim(a):
-        if len(a) < len(b):
-            break
+    while len(a) >= len(b):
         coef = a[-1] * inv % p
         shift = len(a) - len(b)
         q[shift] = coef
@@ -61,7 +70,7 @@ def pdivmod(a, b, p):
             a[shift + i] = (a[shift + i] - coef * c) % p
         a.pop()
         trim(a)
-    return trim(q), trim(a)
+    return trim(q), a
 
 
 def pmod(a, b, p):
@@ -111,13 +120,6 @@ def ppow_mod(base, e, mod, p):
 
 def pderiv(a, p):
     return trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def peval(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def is_irreducible_mod_p(f, p):

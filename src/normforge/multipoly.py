@@ -107,9 +107,6 @@ class MultiPoly:
             k >>= 1
         return out
 
-    def total_degree(self):
-        return max((sum(e for _, e in k) for k in self.terms), default=0)
-
     def degree_in(self, index):
         best = 0
         for k in self.terms:

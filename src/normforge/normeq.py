@@ -7,8 +7,9 @@ verdict is the Hasse reduction: solvable iff solvable at every completion,
 unsolvable as soon as one completion refuses, indeterminate otherwise.
 
 Two bug sentinels guard the analysis (both raise ConclusionViolation):
-  * a prime where none of the four protective conditions holds must come out
-    Unsolvable;
+  * a prime where c is a unit and none of the four protective conditions
+    holds must come out Unsolvable (the bad-prime statement asks c to be a
+    non-q-th power mod the prime, which presupposes v(c) = 0);
   * an instance with x integral outside the allowed set and a compliant c
     must come out Solvable.
 
@@ -24,7 +25,13 @@ from .errors import (
     NormforgeError,
     SearchExhausted,
 )
-from .local import LocalVerdict, extend_by_radical, hilbert_symbol, local_norm_solvable
+from .local import (
+    LocalVerdict,
+    extend_by_radical,
+    hilbert_symbol,
+    local_norm_solvable,
+    q_divides_group,
+)
 from .numberfield import (
     element_support,
     omega_membership,
@@ -105,13 +112,6 @@ class LocalLedger:
         else:
             self.global_verdict = LocalVerdict.indeterminate("an examined completion is undecided")
         return self.global_verdict
-
-    def entry_for(self, prime):
-        pj = prime.to_json()
-        for e in self.entries:
-            if e["prime"] == pj:
-                return e
-        return None
 
     def to_json(self):
         return {
@@ -214,12 +214,12 @@ def analyze(instance):
         if not in_w:
             if valuation(field, P, spec.x) < 0:
                 poles_outside_w.append(P)
-            if not any(conds):
+            if not any(conds) and valuation(field, P, spec.third) == 0:
                 none_hold.append((P, verdict))
     arch = archimedean_check(field, spec.third, spec.rhs, q)
     global_verdict = ledger.finalize(arch)
 
-    # sentinel 1: Prop-norm necessity
+    # sentinel 1: Prop-norm necessity at primes where c is a unit
     for P, verdict in none_hold:
         if verdict.kind == LocalVerdict.SOLVABLE:
             raise ConclusionViolation(
@@ -329,12 +329,20 @@ def integrality_battery(field, x, q, S=(), candidate_cap=64, seed=0):
             targets.append(P)
     if not targets:
         return BatteryResult(True, flags)
+    target = targets[0]
+    p, f = target.p, target.f_deg
+    # c is rational, so its residue lies in F_p*, which sits inside the q-th
+    # powers of F_{p^f}* unless q | p^f - 1 and (p - 1) does not divide (p^f - 1)/q
+    if not q_divides_group(p, f, q) or ((p ** f - 1) // q) % (p - 1) == 0:
+        raise SearchExhausted(
+            f"every rational unit is a q-th power (q = {q}) in the residue field of order "
+            f"{p}^{f} at the target pole, so no rational candidate c can work"
+        )
     b = strong_approx_element(field, valuations=[(P, -1) for P in targets])
     M = q ** 3
     for s in S:
         M *= s.p
     one = field.one()
-    target = targets[0]
     for j in range(1, candidate_cap + 1):
         c = one * (1 + j * M)
         try:
@@ -350,9 +358,8 @@ def integrality_battery(field, x, q, S=(), candidate_cap=64, seed=0):
         if not (in_theta and in_phi and omega_membership(field, c, q)):
             continue
         instance = NormEquationInstance(field, q, x, b, c, S=S)
-        verdict, ledger = analyze(instance)
+        verdict, _ = analyze(instance)
         if verdict.kind == LocalVerdict.UNSOLVABLE:
-            entry = ledger.entry_for(target)
             return BatteryResult(False, flags, witness=(b, c, target))
     raise SearchExhausted("battery candidate cap reached without a witness")
 

@@ -16,6 +16,7 @@ the reduced representative by the cleared p-power inside Z/p^m[x]/(F_P),
 which is valid in the discrete valuation ring whatever the ramification.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -27,14 +28,16 @@ from .errors import (
     SearchExhausted,
 )
 from .finitefield import FiniteField, power_residue_test
-from .hensel import _divmod_monic, lift_blocks
-from .intfunc import crt, factorint, is_prime, valuation_int
+from .hensel import crt_idempotents, lift_blocks
+from .intfunc import centered_residue, crt, factorint, is_prime, valuation_int
 from .modp import (
     factor_poly_mod_p,
+    padd,
     pdivmod,
     pgcd,
     pmul,
     poly_from_unipoly_mod_p,
+    trim,
 )
 from .polyq import (
     RationalInterval,
@@ -85,12 +88,6 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({self.name})"
 
-    @property
-    def disc_poly(self):
-        from .polyq import discriminant
-
-        return discriminant(self.poly)
-
     def element(self, coords):
         """Element from power-basis coordinates (length = degree), or a rational."""
         if isinstance(coords, FieldElement):
@@ -120,9 +117,6 @@ class NumberField:
         if self._real_roots is None:
             self._real_roots = real_root_isolate(self.poly)
         return self._real_roots
-
-    def is_totally_imaginary(self):
-        return not self.real_root_intervals()
 
     def to_json(self):
         return {"poly": self.poly.to_json(), "name": self.name}
@@ -251,19 +245,10 @@ class FieldElement:
         return resultant(self.field.poly, self.poly())
 
     def denominator(self):
-        d = 1
-        for c in self.coords:
-            d = d * c.denominator // _gcd(d, c.denominator)
-        return d
+        return math.lcm(*(c.denominator for c in self.coords))
 
     def __repr__(self):
         return f"FieldElement({self.coords} in {self.field.name})"
-
-
-def _gcd(a, b):
-    import math
-
-    return math.gcd(a, b)
 
 
 class PrimeIdeal:
@@ -408,20 +393,15 @@ def _resultant_valuation(F, A, p, m):
     Res(F, A) = prod A(theta_i) is insensitive to A's nominal degree.
     """
     q = p ** m
-    a = [_centered(c, q) for c in A]
+    a = [centered_residue(c, q) for c in A]
     if not any(a):
         return None
-    exact = resultant(UniPoly([_centered(c, q) for c in F]), UniPoly(a))
+    exact = resultant(UniPoly([centered_residue(c, q) for c in F]), UniPoly(a))
     assert exact.denominator == 1
     exact = int(exact)
     if exact == 0 or exact % q == 0:
         return None
     return valuation_int(exact, p)
-
-
-def _centered(c, q):
-    c %= q
-    return c - q if c > q // 2 else c
 
 
 def residue_map(field, P, alpha, precision_pad=4):
@@ -434,14 +414,13 @@ def residue_map(field, P, alpha, precision_pad=4):
     m = max(2 * s + precision_pad, precision_pad)
     q = p ** m
     blocks = local_blocks(field, p, m)
-    F = [c % q for c in blocks[P.index]]
-    _, B = _divmod_monic([c % q for c in A.int_coeffs()], F, q)
+    B = pdivmod(A.int_coeffs(), blocks[P.index], q)[1]
     # alpha unit at P means A(theta) lies in p^s * O_P exactly
     if any(c % p ** s for c in B):
         raise NotAUnit("element has nonzero valuation at P (p-part mismatch)")
     B = [c // p ** s for c in B]
     k = P.residue_field()
-    red = pdivmod([c % p for c in B], list(P.g), p)[1]
+    red = pdivmod(B, list(P.g), p)[1]
     elem = k.element(red)
     if elem.is_zero():
         raise NotAUnit("element reduces to zero at P")
@@ -478,10 +457,6 @@ def omega_membership(field, alpha, q):
         if sign_at_root(g, field.poly, iv) < 0:
             return False
     return True
-
-
-def primes_over(field, p):
-    return splitting_type(field, p)
 
 
 def theta_phi_membership(field, c, S, q):
@@ -623,7 +598,7 @@ def uniformizer(field, P, tries=64):
     raise SearchExhausted(f"no uniformizer found for {P}")
 
 
-def strong_approx_element(field, valuations=(), congruences=(), positivity=False, height_cap=10 ** 6):
+def strong_approx_element(field, valuations=(), congruences=(), positivity=False):
     """Element with prescribed exact valuations and congruences.
 
     valuations:  [(PrimeIdeal, v)] exact orders, distinct primes.
@@ -670,11 +645,8 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
             )
             m = need + slack
             q = p ** m
-            blocks = local_blocks(field, p, m)
-            from .hensel import crt_idempotents
-
-            idem = crt_idempotents(blocks, p, m)
-            target_poly = [0] * n
+            idem = crt_idempotents(local_blocks(field, p, m), p, m)
+            target_poly = []
             for P in primes:
                 if P.index in data["val"]:
                     _, v = data["val"][P.index]
@@ -689,8 +661,7 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
                     comp = _int_coeff_vector(tgt * (p ** shift), q)
                 else:
                     comp = [p ** shift % q]
-                contrib = _mulmod_vec(comp, idem[P.index], q)
-                target_poly = [(a + b) % q for a, b in _zip_pad_int(target_poly, contrib)]
+                target_poly = padd(target_poly, pmul(comp, idem[P.index], q), q)
             # reduce modulo the full f to stay inside the power basis
             red = _reduce_mod_f(target_poly, field, q)
             residue_targets.append((q, red))
@@ -724,39 +695,16 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
 
 
 def _int_coeff_vector(elem, q):
-    import math
-
     out = []
     for c in elem.coords:
         if math.gcd(c.denominator, q) != 1:
             raise NormforgeError("congruence target has a denominator at p")
         out.append(c.numerator * pow(c.denominator, -1, q) % q)
-    from .modp import trim
-
     return trim(out)
-
-
-def _mulmod_vec(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    from .modp import trim
-
-    return trim(out)
-
-
-def _zip_pad_int(a, b):
-    m = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)) for i in range(m)]
 
 
 def _reduce_mod_f(vec, field, q):
-    fint = [c % q for c in field.poly.int_coeffs()]
-    _, r = _divmod_monic([c % q for c in vec], fint, q)
+    r = pdivmod(vec, field.poly.int_coeffs(), q)[1]
     return r + [0] * (field.degree - len(r))
 
 

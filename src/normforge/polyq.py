@@ -319,9 +319,6 @@ class RationalInterval:
     def width(self):
         return self.hi - self.lo
 
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
     def __contains__(self, x):
         return self.lo <= Fraction(x) <= self.hi
 

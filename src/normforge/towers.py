@@ -19,7 +19,14 @@ import math
 from fractions import Fraction
 
 from .errors import NormforgeError, SearchExhausted
-from .intfunc import euler_phi, multiplicative_order, primes_up_to, valuation_int
+from .intfunc import (
+    euler_phi,
+    is_prime,
+    multiplicative_order,
+    primes_up_to,
+    valuation_fraction,
+    valuation_int,
+)
 from .polyq import UniPoly
 
 
@@ -179,11 +186,6 @@ class FactorTree:
         }
 
 
-def _rational_v(x, p):
-    x = Fraction(x)
-    return valuation_int(x.numerator, p) - valuation_int(x.denominator, p)
-
-
 def _residue_kth_power(r, p, f, k):
     """Is the prime-field unit r a k-th power in F_{p^f}?"""
     group = p ** f - 1
@@ -197,16 +199,16 @@ def _residue_kth_power(r, p, f, k):
 def _radical_children(node, p, k, u, xi_known):
     """Tame closed-form children of adjoining a k-th root of rational u."""
     u = Fraction(u)
-    vp = _rational_v(u, p)
+    vp = valuation_fraction(u, p)
     v_node = vp * node.e
     if math.gcd(v_node, k) == 1 and v_node != 0:
         # Newton slope v/k in lowest terms: total ramification, wild or tame
         return [(node.e * k, node.f, False, f"ramified: v={v_node} prime to {k}")]
     if k % p == 0:
         # wild p-part; only the Hensel guard is modeled
-        guard = 3 * node.e * _rational_v(Fraction(k), p)
+        guard = 3 * node.e * valuation_fraction(k, p)
         um1 = u - 1
-        guarded = um1 == 0 or _rational_v(um1, p) * node.e >= guard
+        guarded = um1 == 0 or valuation_fraction(um1, p) * node.e >= guard
         if guarded:
             if xi_known:
                 return [(node.e, node.f, False, "guard-split")] * k
@@ -225,21 +227,15 @@ def _radical_children(node, p, k, u, xi_known):
     if group % k == 0:
         if _residue_kth_power(r, p, node.f, k):
             return [(node.e, node.f, False, "split: residue is a k-th power")] * k
-        if _is_prime_int(k):
+        if is_prime(k):
             return [(node.e, node.f * k, False, "inert: residue not a k-th power")]
         return [(node.e, node.f, True, f"composite degree {k}, partial split unresolved")]
-    if _is_prime_int(k):
+    if is_prime(k):
         d = multiplicative_order(pow(p, node.f, k), k)
         kids = [(node.e, node.f, False, "tame-root: unique k-th root")]
         kids += [(node.e, node.f * d, False, f"tame-orbit of size {d}")] * ((k - 1) // d)
         return kids
     return [(node.e, node.f, True, f"composite degree {k} without mu_k")]
-
-
-def _is_prime_int(k):
-    from .intfunc import is_prime
-
-    return is_prime(k)
 
 
 def grow_tree(recipe, p, depth):

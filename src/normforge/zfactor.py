@@ -11,8 +11,8 @@ import math
 
 from .errors import NormforgeError
 from .hensel import lift_blocks
-from .intfunc import is_prime, next_prime
-from .modp import factor_poly_mod_p, pgcd, pnormalize
+from .intfunc import centered_residue, is_prime, next_prime
+from .modp import factor_poly_mod_p, pderiv, pgcd, pmul, pnormalize
 from .polyq import UniPoly, yun_squarefree
 
 
@@ -21,11 +21,6 @@ def _mignotte_bound(f):
     n = f.degree
     norm = math.isqrt(sum(int(c) * int(c) for c in f.int_coeffs())) + 1
     return 2 ** n * norm * abs(int(f.leading()))
-
-
-def _symmetric(c, q):
-    c %= q
-    return c - q if c > q // 2 else c
 
 
 def _factor_squarefree_z(f):
@@ -70,9 +65,9 @@ def _factor_squarefree_z(f):
         for combo in itertools.combinations(remaining, r):
             cand = [1]
             for i in combo:
-                cand = _mul_mod_int(cand, lifted[i], q)
+                cand = pmul(cand, lifted[i], q)
             lc_cur = int(current.leading())
-            cand = [_symmetric(c * lc_cur % q, q) for c in cand]
+            cand = [centered_residue(c * lc_cur, q) for c in cand]
             cand_poly = UniPoly(cand).primitive_int()
             if cand_poly.degree == 0:
                 continue
@@ -90,23 +85,12 @@ def _factor_squarefree_z(f):
     return out
 
 
-def _mul_mod_int(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    return out
-
-
 def _squarefree_mod(ints, p):
     if not is_prime(p):
         return False
     fp = pnormalize(list(ints), p)
     if len(fp) != len(ints):
         return False
-    from .modp import pderiv
-
     d = pderiv(fp, p)
     if not d:
         return False
@@ -120,9 +104,7 @@ def factor_over_q(f):
     const = f.leading()
     out = []
     for sq, mult in yun_squarefree(f):
-        prim = sq.primitive_int()
-        scale = sq.leading() / prim.leading()
-        for g in _factor_squarefree_z(prim):
+        for g in _factor_squarefree_z(sq.primitive_int()):
             out.append((g.monic(), mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return const, out

@@ -17,9 +17,11 @@ from normforge.hensel import hensel_lift_factorization, lift_blocks
 from normforge.modp import (
     factor_poly_mod_p,
     is_irreducible_mod_p,
+    padd,
     pdivmod,
     pmul,
     pnormalize,
+    psub,
 )
 from normforge.polyq import (
     UniPoly,
@@ -171,6 +173,38 @@ def test_block_lift_with_ramification():
     blocks = lift_blocks([c % 81 for c in f], [[1, 0, 1], [1, 2, 1]], 3, 4)
     prod = _mul_int(blocks[0], blocks[1])
     assert [c % 81 for c in prod] == [c % 81 for c in f]
+
+
+@pytest.mark.parametrize("m", [3 ** 5, 7 ** 3])
+def test_kernel_composite_modulus_matches_integer_reference(m):
+    """add, sub and mul mod any m, and division by a divisor whose leading
+    coefficient is a unit mod m, agree with integer arithmetic reduced mod m."""
+
+    def reduced(a):
+        out = [c % m for c in a]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def zip_with(op, a, b):
+        n = max(len(a), len(b))
+        a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+        return [op(x, y) for x, y in zip(a, b)]
+
+    rng = random.Random(m)
+    for _ in range(60):
+        a = [rng.randrange(-m, 2 * m) for _ in range(rng.randint(0, 9))]
+        b = [rng.randrange(-m, 2 * m) for _ in range(rng.randint(0, 5))]
+        b.append(rng.choice([1, 2, m - 1, m + 1]))  # a unit leading coefficient
+        assert padd(a, b, m) == reduced(zip_with(int.__add__, a, b))
+        assert psub(a, b, m) == reduced(zip_with(int.__sub__, a, b))
+        assert pmul(a, b, m) == (reduced(_mul_int(a, b)) if a else [])
+        quo, rem = pdivmod(a, b, m)
+        assert len(rem) < len(b)
+        assert all(0 <= c < m for c in quo + rem)
+        assert quo == reduced(quo) and rem == reduced(rem)
+        back = zip_with(int.__add__, _mul_int(quo, b) if quo else [], rem)
+        assert reduced(zip_with(int.__sub__, back, a)) == []
 
 
 def test_power_residue_worked_examples():

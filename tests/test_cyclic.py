@@ -15,6 +15,7 @@ from normforge.errors import HypothesisFail, RamifiedCase, SearchExhausted
 from normforge.intfunc import primes_up_to
 from normforge.numberfield import NumberField, splitting_type, valuation
 from normforge.polyq import UniPoly, real_root_isolate
+from normforge.zfactor import is_irreducible_over_q
 
 
 def test_find_auxiliary_ell_worked():
@@ -24,6 +25,18 @@ def test_find_auxiliary_ell_worked():
     assert pow(3, 2, 7) != 1 and pow(2, 2, 5) != 1
     with pytest.raises(SearchExhausted):
         find_auxiliary_ell(3, 1, bound=5)
+
+
+def test_find_auxiliary_ell_impossible_level_refuses_at_once(monkeypatch):
+    import normforge.cyclic as cyclic
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("find_auxiliary_ell scanned candidates")
+
+    monkeypatch.setattr(cyclic, "power_residue_test", no_scan)
+    for m in (3, 4):
+        with pytest.raises(SearchExhausted, match=r"mod 8\) makes 2 a square"):
+            find_auxiliary_ell(2, m)
 
 
 def test_gaussian_period_worked_examples():
@@ -58,26 +71,38 @@ def test_frobenius_worked_examples():
         frobenius_residue_degree(7, 3, 7)
 
 
-def test_frobenius_agrees_with_splitting_type():
+def _check_period_field(ell, d, primes):
+    """Period polynomial shape, and Frobenius degrees against splitting_type;
+    returns how many primes were checked (non-monogenic ones are skipped)."""
     from normforge.errors import NonMonogenicAtP
 
+    h = gaussian_period_subfield(ell, d)
+    assert h.period_poly.is_monic() and h.period_poly.degree == d
+    assert is_irreducible_over_q(h.period_poly)
+    field = h.number_field()
+    checked = 0
+    for p in primes:
+        if p == ell:
+            continue
+        try:
+            primes_above = splitting_type(field, p)
+        except NonMonogenicAtP:
+            continue
+        f_pred = frobenius_residue_degree(ell, d, p)
+        assert {P.f_deg for P in primes_above} == {f_pred}
+        assert len(primes_above) == d // f_pred
+        assert all(P.e == 1 for P in primes_above)
+        checked += 1
+    return checked
+
+
+def test_frobenius_agrees_with_splitting_type():
     for ell in [p for p in primes_up_to(50) if p > 2]:
         for d in (2, 3, 4):
-            if (ell - 1) % d != 0:
-                continue
-            h = gaussian_period_subfield(ell, d)
-            field = h.number_field()
-            for p in primes_up_to(20):
-                if p == ell:
-                    continue
-                try:
-                    primes = splitting_type(field, p)
-                except NonMonogenicAtP:
-                    continue
-                f_pred = frobenius_residue_degree(ell, d, p)
-                assert {P.f_deg for P in primes} == {f_pred}
-                assert len(primes) == d // f_pred
-                assert all(P.e == 1 for P in primes)
+            if (ell - 1) % d == 0:
+                _check_period_field(ell, d, primes_up_to(20))
+    # a period field of degree 10: residue degrees 10, 5 and 2 occur below 50
+    assert _check_period_field(101, 10, primes_up_to(50)) >= 10
 
 
 def test_compositum_worked_examples():

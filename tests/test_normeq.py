@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from normforge.errors import HypothesisFail, NormforgeError
+from normforge.errors import (
+    ConclusionViolation,
+    HypothesisFail,
+    NormforgeError,
+    SearchExhausted,
+)
 from normforge.local import LocalVerdict
 from normforge.normeq import (
     NormEquationInstance,
@@ -82,6 +87,18 @@ def test_analyze_worked_instances():
     assert bad and all(e["prime"]["p"] == 7 for e in bad)
 
 
+def test_sentinel_one_only_where_c_is_a_unit():
+    # c = 9 is a square, so Solvable is right; at the pole 3 of x, v(c) = 2 and
+    # the bad-prime statement (c not a square mod the prime) does not apply
+    verdict, _ = analyze(NormEquationInstance(Q, 2, Fraction(22, 3), Fraction(29, 3), 9))
+    assert verdict.kind == LocalVerdict.SOLVABLE
+    # c a non-square unit at the pole and v(b) = 3: the layer verdict still
+    # misfires there, and the sentinel must keep reporting it
+    for x, b, c in ((Fraction(2, 3), Fraction(27, 7), 617), (Fraction(1, 5), 125, 17)):
+        with pytest.raises(ConclusionViolation):
+            analyze(NormEquationInstance(Q, 2, x, b, c))
+
+
 def test_rhs_zero_rejected_before_analysis():
     from normforge.errors import DegenerateRadicand
 
@@ -139,6 +156,21 @@ def test_battery_completeness_single_pole_seeds():
             assert not res.passed
             _, _, P = res.witness
             assert P.p == p
+
+
+def test_battery_refuses_at_once_when_rational_units_are_powers(monkeypatch):
+    # 41 is inert in Q(zeta3) and F_41* lies in the cubes of F_{41^2}*;
+    # 31 is inert in Q(i) and F_31* lies in the squares of F_{31^2}*
+    import normforge.normeq as normeq
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the battery started its search")
+
+    monkeypatch.setattr(normeq, "strong_approx_element", no_search)
+    QI = NumberField(UniPoly([1, 0, 1]), name="Q(i)")
+    for field, x, q in ((K3, Fraction(14, 41), 3), (QI, Fraction(4, 961), 2)):
+        with pytest.raises(SearchExhausted, match="every rational unit"):
+            integrality_battery(field, x, q)
 
 
 def test_battery_catches_pole_at_ramified_prime():
