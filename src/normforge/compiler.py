@@ -15,10 +15,11 @@ the membership predicates attached as named atoms (the four-squares atom for
 the real-place condition is an explicit polynomial).
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import DegenerateLayer, IncompleteAssignment, NormforgeError
-from .multipoly import MultiPoly, determinant
+from .errors import DegenerateLayer, IncompleteAssignment, NormforgeError, SearchExhausted
+from .multipoly import MultiPoly, _merge_keys, determinant
 
 VARIANTS = ("eqA", "eqB", "eqC", "diffversion1", "diffversion2", "diffversion3")
 
@@ -198,6 +199,30 @@ class _LayerRelation:
         return self._den_powers[k]
 
 
+def _child_registry(system, layer_vars, dropped, deg, layer_name):
+    """The child system of a descent, with its variables but no equations.
+
+    The registry lists the kept variables first, in their old order, then deg
+    coordinates "v,j" per layer variable v; variables in `dropped` vanish.
+    _rewrite_equation relies on this order: every kept index is below every
+    coordinate index.  Returns (child, {v: coordinate names}, name -> index,
+    index of the first coordinate).
+    """
+    keep = [v for v in system.variables if v not in layer_vars and v not in dropped]
+    names = list(keep)
+    prov = {v: system.provenance.get(v, "base") for v in keep}
+    expanded = {}
+    for v in layer_vars:
+        coords = [f"{v},{j}" for j in range(deg)]
+        for c in coords:
+            prov[c] = layer_name
+        names.extend(coords)
+        expanded[v] = coords
+    child = PolynomialSystem(names, prov)
+    child.trace = list(system.trace)
+    return child, expanded, {name: i for i, name in enumerate(names)}, len(keep)
+
+
 def descend_layer(system, layer_vars, relation_num, relation_den, deg, layer_name,
                   substitute=None):
     """One descent step: rewrite over the field below the layer.
@@ -217,18 +242,9 @@ def descend_layer(system, layer_vars, relation_num, relation_den, deg, layer_nam
     if relation_den.is_zero():
         raise DegenerateLayer("layer denominator is identically zero")
     old_vars = system.variables
-    keep = [v for v in old_vars if v not in layer_vars and v not in substitute]
-    new_names = list(keep)
-    new_prov = {v: system.provenance.get(v, "base") for v in keep}
-    expanded = {}
-    for v in layer_vars:
-        coords = [f"{v},{j}" for j in range(deg)]
-        for c in coords:
-            new_prov[c] = layer_name
-        new_names.extend(coords)
-        expanded[v] = coords
-    n_new = len(new_names)
-    new_index = {name: i for i, name in enumerate(new_names)}
+    out, expanded, new_index, n_keep = _child_registry(system, layer_vars, substitute, deg,
+                                                       layer_name)
+    n_new = out.n
 
     relation = _LayerRelation(
         deg,
@@ -250,10 +266,8 @@ def descend_layer(system, layer_vars, relation_num, relation_den, deg, layer_nam
         return GammaPoly(relation, coeffs)
 
     special = {i for i, v in enumerate(old_vars) if v in expanded or v in substitute}
-    out = PolynomialSystem(new_names, new_prov)
-    out.trace = list(system.trace)
     for eq_idx, eq in enumerate(system.equations):
-        acc = _rewrite_equation(eq, relation, old_vars, new_index, special, gamma_value, n_new)
+        acc = _rewrite_equation(eq, relation, old_vars, new_index, n_keep, special, gamma_value)
         for gdeg, coeff_poly in enumerate(acc.coeffs):
             intpoly, mult = coeff_poly.integerized()
             out.add_equation(
@@ -275,13 +289,17 @@ def descend_layer(system, layer_vars, relation_num, relation_den, deg, layer_nam
     return out
 
 
-def _rewrite_equation(eq, relation, old_vars, new_index, special, gamma_value, n_new):
+def _rewrite_equation(eq, relation, old_vars, new_index, n_keep, special, gamma_value):
     """Evaluate eq in the Gamma presentation, batched for speed.
 
-    The product of expanded-variable powers is cached per distinct monomial;
-    the leftover scalar (coefficient times kept-variable monomial) multiplies
-    each Gamma coefficient directly, and partial sums are bucketed by
-    denominator power so alignment happens once per bucket, not per term.
+    Each term of eq splits into a monomial in the expanded variables, whose
+    Gamma value is computed once per distinct monomial, and a scalar: the
+    coefficient times a kept-variable monomial.  Every Gamma value is brought
+    to the equation's largest denominator power up front, and the terms of
+    each of its Gamma coefficients are grouped by their kept part (the
+    variables below n_keep).  A scalar times a group then has keys made of
+    the merged kept parts, memoised per pair, followed by the coordinate part
+    unchanged, because every kept index lies below every coordinate index.
     """
     var_cache = {}
 
@@ -294,62 +312,58 @@ def _rewrite_equation(eq, relation, old_vars, new_index, special, gamma_value, n
                 var_cache[key] = value_of(idx, power - 1) * value_of(idx, 1)
         return var_cache[key]
 
-    umon_cache = {}
+    products = {(): GammaPoly.const(relation, relation.one)}
 
-    def umon_value(ukey):
-        if ukey not in umon_cache:
-            gp = GammaPoly.const(relation, relation.one)
-            for vi, e in ukey:
-                gp = gp * value_of(vi, e)
-            umon_cache[ukey] = gp
-        return umon_cache[ukey]
+    def product(ukey):
+        # always left to right: the denominator powers recorded depend on the order
+        gp = products.get(ukey)
+        if gp is None:
+            gp = products[ukey] = product(ukey[:-1]) * value_of(*ukey[-1])
+        return gp
 
-    from .multipoly import _merge_keys
-
-    D = relation.degree
-    buckets = {}  # den_power -> [raw term dict per Gamma degree]
+    split = []  # (expanded-variable monomial, scalar key, coefficient) per term
     for key, coeff in eq.terms.items():
         ukey = tuple((vi, e) for vi, e in key if vi in special)
-        gp = umon_value(ukey)
-        scal_key = tuple(sorted((new_index[old_vars[vi]], e) for vi, e in key if vi not in special))
-        bucket = buckets.setdefault(gp.den_power, [dict() for _ in range(D)])
-        for i, cpoly in enumerate(gp.coeffs):
-            if cpoly.is_zero():
-                continue
-            acc = bucket[i]
-            for k2, c2 in cpoly.terms.items():
-                k = _merge_keys(scal_key, k2)
-                s = acc.get(k, 0) + coeff * c2
-                if s:
-                    acc[k] = s
-                elif k in acc:
-                    del acc[k]
-    if not buckets:
-        return GammaPoly(relation, [relation.zero] * D, 0)
-    maxd = max(buckets)
-    total = [dict() for _ in range(D)]
-    for dp, coeffs in buckets.items():
-        scale = None if dp == maxd else relation.den_power(maxd - dp)
-        for i, raw in enumerate(coeffs):
-            if not raw:
-                continue
-            poly = MultiPoly(n_new)
-            poly.terms = raw
-            if scale is not None:
-                poly = poly * scale
-            acc = total[i]
-            for k, c in poly.terms.items():
-                s = acc.get(k, 0) + c
-                if s:
-                    acc[k] = s
-                elif k in acc:
-                    del acc[k]
+        # kept variables keep their relative order, so this key is sorted
+        scal_key = tuple((new_index[old_vars[vi]], e) for vi, e in key if vi not in special)
+        split.append((ukey, scal_key, coeff))
+    values = {ukey: product(ukey) for ukey, _, _ in split}
+    den_power = max((gp.den_power for gp in values.values()), default=0)
+    grouped = {}
+    for ukey, gp in values.items():
+        lift = den_power - gp.den_power
+        coeffs = [c * relation.den_power(lift) for c in gp.coeffs] if lift else gp.coeffs
+        grouped[ukey] = [_group_by_kept(c, n_keep) for c in coeffs]
+
+    merged = {}  # (scalar key, kept part) -> merged kept key
+    # per Gamma degree: {kept key: {coordinate key: coefficient}}
+    acc = [{} for _ in range(relation.degree)]
+    for ukey, scal_key, coeff in split:
+        for nested, groups in zip(acc, grouped[ukey]):
+            for kept, tail in groups:
+                head = merged.get((scal_key, kept))
+                if head is None:
+                    head = merged[scal_key, kept] = _merge_keys(scal_key, kept)
+                sub = nested.get(head)
+                if sub is None:
+                    sub = nested[head] = {}
+                for k2, c2 in tail:
+                    sub[k2] = sub.get(k2, 0) + coeff * c2
     coeffs_out = []
-    for raw in total:
-        poly = MultiPoly(n_new)
-        poly.terms = raw
+    for nested in acc:
+        poly = MultiPoly(relation.one.n)
+        poly.terms = {head + k2: c for head, sub in nested.items() for k2, c in sub.items() if c}
         coeffs_out.append(poly)
-    return GammaPoly(relation, coeffs_out, maxd)
+    return GammaPoly(relation, coeffs_out, den_power)
+
+
+def _group_by_kept(poly, n_keep):
+    """[(kept part, [(coordinate part, coeff), ...]), ...] of poly's terms."""
+    groups = {}
+    for key, c in poly.terms.items():
+        cut = bisect_left(key, (n_keep,))
+        groups.setdefault(key[:cut], []).append((key[cut:], c))
+    return list(groups.items())
 
 
 def _embed_poly(poly, old_vars, new_index, n_new):
@@ -374,18 +388,8 @@ def descend_cyclotomic(system, layer_vars, q, layer_name="xi-layer"):
     """Descent through the degree-(q-1) cyclotomic layer: Phi_q(Gamma) = 0."""
     deg = q - 1
     old_vars = system.variables
-    keep = [v for v in old_vars if v not in layer_vars]
-    new_names = list(keep)
-    new_prov = {v: system.provenance.get(v, "base") for v in keep}
-    expanded = {}
-    for v in layer_vars:
-        coords = [f"{v},{j}" for j in range(deg)]
-        for c in coords:
-            new_prov[c] = layer_name
-        new_names.extend(coords)
-        expanded[v] = coords
-    n_new = len(new_names)
-    new_index = {nm: i for i, nm in enumerate(new_names)}
+    out, expanded, new_index, n_keep = _child_registry(system, layer_vars, (), deg, layer_name)
+    n_new = out.n
     minus_one = MultiPoly.const(n_new, -1)
     relation = _LayerRelation(deg, [minus_one for _ in range(deg)], MultiPoly.const(n_new, 1), n_new)
 
@@ -396,10 +400,8 @@ def descend_cyclotomic(system, layer_vars, q, layer_name="xi-layer"):
         return GammaPoly.const(relation, MultiPoly.var(n_new, new_index[var_name]))
 
     special = {i for i, v in enumerate(old_vars) if v in expanded}
-    out = PolynomialSystem(new_names, new_prov)
-    out.trace = list(system.trace)
     for eq_idx, eq in enumerate(system.equations):
-        acc = _rewrite_equation(eq, relation, old_vars, new_index, special, gamma_value, n_new)
+        acc = _rewrite_equation(eq, relation, old_vars, new_index, n_keep, special, gamma_value)
         assert acc.den_power == 0
         for gdeg, coeff_poly in enumerate(acc.coeffs):
             intpoly, _ = coeff_poly.integerized()
@@ -552,8 +554,6 @@ def compile_definition(variant, q, field=None, S=(), w_data=None):
         hat = variant == "diffversion3"
         w_name = "w_hat" if hat else "w"
         if w_data is None and field is not None:
-            from .errors import SearchExhausted
-
             try:
                 w_elem = realize_w(field, q, S, hat=hat)
                 w_data = [str(c) for c in w_elem.coords]
@@ -561,7 +561,7 @@ def compile_definition(variant, q, field=None, S=(), w_data=None):
                 w_data = None
         if w_data is None:
             notes.append(f"{w_name} left symbolic: strong approximation did not realize "
-                         "its divisor shape at the configured height")
+                         "its divisor shape")
             atoms = [{"name": "R_membership", "args": [f"(c-1)/{w_name}"]},
                      {"name": "Omega_q", "args": ["c"]}]
         else:

@@ -9,6 +9,7 @@ JSON output materializes dense exponent vectors for consumers.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import IncompleteAssignment, NormforgeError
 
@@ -18,6 +19,10 @@ def _merge_keys(e1, e2):
         return e2
     if not e2:
         return e1
+    if e1[-1][0] < e2[0][0]:
+        return e1 + e2
+    if e2[-1][0] < e1[0][0]:
+        return e2 + e1
     combined = dict(e1)
     for i, e in e2:
         combined[i] = combined.get(i, 0) + e
@@ -143,9 +148,12 @@ class MultiPoly:
         return out
 
     def integerized(self):
-        """Clear rational denominators by the lcm; returns (poly, multiplier)."""
-        from math import gcd
+        """Clear rational denominators by the lcm; returns (poly, multiplier).
 
+        An all-integer polynomial is returned as it is, not copied.
+        """
+        if all(type(c) is int for c in self.terms.values()):
+            return self, 1
         den = 1
         for c in self.terms.values():
             c = Fraction(c)
@@ -167,11 +175,12 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, n, data):
-        out = cls(n)
+        terms = {}
         for c, vec in data:
             key = tuple((i, e) for i, e in enumerate(vec) if e)
-            val = Fraction(c) if "/" in str(c) else int(c)
-            out.terms[key] = val
+            terms[key] = terms.get(key, 0) + (Fraction(c) if "/" in str(c) else int(c))
+        out = cls(n)
+        out.terms = {k: c for k, c in terms.items() if c}
         return out
 
     def __repr__(self):

@@ -1,7 +1,10 @@
 """Coordinate norm polynomials, layer descent, and witness machinery."""
 
 import cmath
+import hashlib
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from normforge.compiler import (
     check_side_conditions,
     compile_definition,
     coordinate_norm_poly,
+    descend_cyclotomic,
     descend_layer,
     square_trick_witness,
     verify_witness,
@@ -225,3 +229,108 @@ def test_system_json_round_trip():
     assert back.variables == s.variables
     assert len(back.equations) == len(s.equations)
     assert all(a == b for a, b in zip(back.equations, s.equations))
+
+
+def test_multipoly_from_json_accumulates_like_init():
+    assert MultiPoly.from_json(2, [["0", [1, 0]]]).is_zero()
+    assert MultiPoly.from_json(2, [["1", [1, 0]], ["2", [1, 0]]]) == MultiPoly.var(2, 0, 1, 3)
+    assert MultiPoly.from_json(2, [["1/2", [0, 1]], ["-1/2", [0, 1]]]).is_zero()
+
+
+# word-size primes: every residue mod P_CUBE has one cube root, Phi_3 has roots mod P_XI
+P_CUBE, P_XI = 1000000007, 1000000009
+_ORIGIN = re.compile(r": eq (\d+) Gamma\^(\d+)(?: \(den\^(\d+), x(\d+)\))?$")
+
+
+def _eval_mod(poly, values, p):
+    acc = 0
+    for key, c in poly.terms.items():
+        term = c
+        for i, e in key:
+            term = term * pow(values[i], e, p) % p
+        acc += term
+    return acc % p
+
+
+def _canonical_digest(system):
+    text = json.dumps(system.to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _check_reassembly(parent, child, layer_vars, deg, num, den, seed):
+    """sum_k E_k Gamma^k / mult_k == E * den^power mod p at a seeded point.
+
+    num/den is Gamma^deg for a radical layer; num is None for Phi_3.
+    """
+    p = P_XI if num is None else P_CUBE
+    rng = random.Random(seed)
+    while True:
+        cvals = {v: rng.randrange(1, p) for v in child.variables}
+        pvals = [cvals.get(v, 0) for v in parent.variables]
+        if num is None:
+            gamma, d = pow(rng.randrange(2, p), (p - 1) // 3, p), 1
+            if gamma == 1:
+                continue
+        else:
+            d = _eval_mod(den, pvals, p)
+            if d == 0:
+                continue
+            ratio = _eval_mod(num, pvals, p) * pow(d, -1, p) % p
+            gamma = pow(ratio, (2 * p - 1) // 3, p)
+            assert pow(gamma, 3, p) == ratio
+        break
+    for v in layer_vars:
+        pvals[parent.variables.index(v)] = sum(
+            cvals[f"{v},{j}"] * pow(gamma, j, p) for j in range(deg)) % p
+    cvec = [cvals[v] for v in child.variables]
+    origins = [t["origin"] for t in child.trace if t["kind"] == "equation"]
+    origins = origins[-len(child.equations):]
+    assert len(child.equations) == deg * len(parent.equations)
+    sums = [0] * len(parent.equations)
+    powers = [0] * len(parent.equations)
+    for eq, origin in zip(child.equations, origins):
+        i, k, power, mult = _ORIGIN.search(origin).groups()
+        i = int(i)
+        powers[i] = int(power or 0)
+        value = _eval_mod(eq, cvec, p) * pow(int(mult or 1), -1, p)
+        sums[i] = (sums[i] + value * pow(gamma, int(k), p)) % p
+    for i, eq in enumerate(parent.equations):
+        assert sums[i] == _eval_mod(eq, pvals, p) * pow(d, powers[i], p) % p
+
+
+def test_q3_descent_exact_mod_p():
+    """The q = 3 tower down to layer2 and its cyclotomic layer, checked exactly.
+
+    Layer3 and layer2 have denominators in the kept variables (C X and
+    B X^3 + B^3), which the constant-relation tests above never exercise.
+    The digests pin the canonical JSON of the outputs.
+    """
+    assert _canonical_digest(build_descended_system(2)) == "c80f29cb11669134"
+    q = 3
+    u_names = [f"U{i}" for i in range(1, q + 1)]
+    N, sys0 = coordinate_norm_poly(
+        q, PolynomialSystem(u_names + ["C", "Z", "X", "B"], {u: "norm-layer" for u in u_names}))
+    rhs = sys0.var("B") * sys0.var("X", q) + sys0.var("B", q)
+    base = PolynomialSystem(u_names + ["C", "X", "B"], {u: "norm-layer" for u in u_names})
+    keep = [base.index(v) if v != "Z" else 0 for v in sys0.variables]
+    base.add_equation((N + sys0.var("Z") - rhs).extended(base.n, keep),
+                      origin="norm polynomial with Z = B X^q + B^q")
+
+    one = MultiPoly.const(base.n, 1)
+    C, X = base.var("C"), base.var("X")
+    num3, den3 = C * C + C * X + one, C * X
+    layer3 = descend_layer(base, u_names, num3, den3, q, "layer3 (c + 1/c)/x")
+    _check_reassembly(base, layer3, u_names, q, num3, den3, seed=31)
+    assert _canonical_digest(layer3) == "d0b22a82bef61513"
+
+    vars3 = [v for v in layer3.variables if layer3.provenance[v] == "layer3 (c + 1/c)/x"]
+    den2 = layer3.var("B") * layer3.var("X", q) + layer3.var("B", q)
+    num2 = den2 + MultiPoly.const(layer3.n, 1)
+    layer2 = descend_layer(layer3, vars3, num2, den2, q, "layer2 1/(b x^q + b^q)")
+    _check_reassembly(layer3, layer2, vars3, q, num2, den2, seed=32)
+    assert _canonical_digest(layer2) == "d4e2e345dec0e2bb"
+
+    vars2 = [v for v in layer2.variables if layer2.provenance[v] == "layer2 1/(b x^q + b^q)"]
+    xi = descend_cyclotomic(layer2, vars2, q)
+    _check_reassembly(layer2, xi, vars2, q - 1, None, None, seed=33)
+    assert sum(len(eq.terms) for eq in xi.equations) == 129050
