@@ -1,53 +1,20 @@
-"""Command-line front end: JSON in, JSON out, deterministic seeds.
+"""Command-line front end: JSON in, JSON out, deterministic output.
 
 Exit codes: 0 success, 1 domain error (failed hypotheses, exhausted
 searches, non-maximal orders and friends), 2 usage error.  Reports are
 always well-formed JSON on stdout or at --out; big integers travel as
-decimal strings.  The NORMFORGE_SEED environment variable overrides --seed.
+decimal strings.  --depth-cap (default 64) must be positive and bounds the
+--depth of the tower commands.
 """
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ConclusionViolation, NormforgeError
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    """Per-invocation knobs: deterministic seed and positive resource caps."""
-
-    seed: int = 0
-    depth_cap: int = 64
-    precision_cap: int = 512
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        for name in ("depth_cap", "precision_cap"):
-            if getattr(self, name) <= 0:
-                raise NormforgeError(f"{name} must be positive")
-
-    @classmethod
-    def from_args(cls, args):
-        env = os.environ.get("NORMFORGE_SEED")
-        seed = int(env) if env is not None else getattr(args, "seed", 0) or 0
-        return cls(
-            seed=seed,
-            depth_cap=getattr(args, "depth_cap", None) or 64,
-            precision_cap=getattr(args, "precision_cap", None) or 512,
-            out=getattr(args, "out", None),
-        )
-
-    def apply_precision_cap(self):
-        from . import numberfield
-
-        numberfield.MAX_PRECISION = self.precision_cap
 
 
 def _emit(report, out_path=None):
@@ -66,10 +33,6 @@ def _field_from_args(args):
 
     poly = UniPoly.from_json(json.loads(args.poly))
     return NumberField(poly)
-
-
-def _seed(args):
-    return RunConfig.from_args(args).seed
 
 
 def cmd_field_factor(args):
@@ -91,7 +54,7 @@ def cmd_field_factor(args):
 
 
 def cmd_tower_grow(args):
-    from .towers import TowerRecipe, example_tower, grow_tree
+    from .towers import grow_tree
 
     recipe = _load_recipe(args)
     tree = grow_tree(recipe, args.prime, args.depth)
@@ -195,7 +158,7 @@ def cmd_normeq_battery(args):
     else:
         field = NumberField.rationals()
     x = _parse_element(field, args.x)
-    result = integrality_battery(field, x, args.q, seed=_seed(args))
+    result = integrality_battery(field, x, args.q)
     _emit({"command": "normeq battery", "result": result.to_json()}, args.out)
     return 0
 
@@ -262,9 +225,7 @@ def cmd_ec_lemmas(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="normforge", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--depth-cap", type=int, dest="depth_cap")
-    parser.add_argument("--precision-cap", type=int, dest="precision_cap")
+    parser.add_argument("--depth-cap", type=int, dest="depth_cap", default=64)
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("field", help="number field operations")
@@ -315,7 +276,6 @@ def build_parser():
     nb.add_argument("--x", required=True, help="JSON rational or coordinate list")
     nb.add_argument("--q", type=int, required=True)
     nb.add_argument("--field", help="JSON coefficient list of the defining polynomial")
-    nb.add_argument("--seed", type=int, default=0)
     nb.add_argument("--out")
     nb.set_defaults(func=cmd_normeq_battery)
 
@@ -361,10 +321,10 @@ def main(argv=None):
         parser.print_help(sys.stderr)
         return 2
     try:
-        config = RunConfig.from_args(args)
-        config.apply_precision_cap()
-        if getattr(args, "depth", None) is not None and args.depth > config.depth_cap:
-            raise NormforgeError(f"depth {args.depth} exceeds the cap {config.depth_cap}")
+        if args.depth_cap <= 0:
+            raise NormforgeError("depth_cap must be positive")
+        if getattr(args, "depth", None) is not None and args.depth > args.depth_cap:
+            raise NormforgeError(f"depth {args.depth} exceeds the cap {args.depth_cap}")
         return args.func(args)
     except ConclusionViolation:
         raise  # bug sentinel: never converted to a report

@@ -471,7 +471,6 @@ def build_descended_system(q, include_xi_layer=None):
                         origin="norm polynomial with Z = B X^q + B^q")
     X = lambda s: s.var("X")
     C = lambda s: s.var("C")
-    B = lambda s: s.var("B")
     one = lambda s: MultiPoly.const(s.n, 1)
 
     # layer 3: Gamma^q = (C^2 + C X + 1) / (C X)

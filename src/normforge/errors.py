@@ -68,10 +68,6 @@ class HypothesisFail(NormforgeError):
         super().__init__(message or f"hypotheses failed: {self.failed}")
 
 
-class IndeterminateLayer(NormforgeError):
-    pass
-
-
 class DegenerateLayer(NormforgeError):
     pass
 

@@ -82,21 +82,19 @@ def _pairs(items):
             yield items[i], items[j]
 
 
-def hensel_lift_factorization(f, p, m, seed=None):
+def hensel_lift_factorization(f, p, m):
     """Lift the mod-p factorization of f to coprime monic factors mod p^m.
 
     Requires f squarefree mod p.  Each returned factor reduces mod p to the
     corresponding irreducible factor of f mod p, and their product is f mod
     p^m (f is assumed monic; a unit leading coefficient is divided out).
     """
-    from .modp import DEFAULT_SEED
-
     if hasattr(f, "int_coeffs"):
         f = f.int_coeffs()
     f = list(f)
     if not trim(list(f)):
         raise NormforgeError("zero polynomial")
-    factors = factor_poly_mod_p(f, p, seed=DEFAULT_SEED if seed is None else seed)
+    factors = factor_poly_mod_p(f, p)
     if any(mult > 1 for _, mult in factors):
         raise NotSquarefreeAtP(f"not squarefree mod {p}")
     if f[-1] % p == 0:

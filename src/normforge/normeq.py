@@ -27,7 +27,6 @@ from .errors import (
 )
 from .local import (
     LocalVerdict,
-    extend_by_radical,
     hilbert_symbol,
     local_norm_solvable,
     q_divides_group,
@@ -44,12 +43,13 @@ from .radical import (
     XBC,
     XDA,
     RadicalTowerSpec,
+    chain_layers,
     check_nonsplit_certificate,
     primes_of_interest,
-    start_node,
+    protective_conditions,
+    tracked_node,
+    two_adic_inert,
 )
-
-_LAYERS = ("r1", "r2", "r3")
 
 
 class NormEquationInstance:
@@ -121,25 +121,6 @@ class LocalLedger:
         }
 
 
-def _conditions_at(instance, P):
-    """Which of the four protective conditions hold at P (Prop-style)."""
-    field, q = instance.field, instance.q
-    spec = instance.spec
-    vx = valuation(field, P, spec.x)
-    vb = valuation(field, P, spec.second)
-    vc = valuation(field, P, spec.third)
-    cond1 = False
-    if vc == 0:
-        from .finitefield import power_residue_test
-        from .numberfield import residue_map
-
-        cond1 = power_residue_test(residue_map(field, P, spec.third), P.residue_field(), q)
-    cond2 = vx >= 0
-    cond3 = q * vx >= (q - 1) * vb
-    cond4 = vb % q == 0
-    return [cond1, cond2, cond3, cond4]
-
-
 def _prime_verdict(instance, P):
     field, q = instance.field, instance.q
     spec = instance.spec
@@ -154,7 +135,7 @@ def _prime_verdict(instance, P):
         if spec.variant == XDA:
             cert = check_nonsplit_certificate(spec, P)
             if cert is True:
-                leaves = _chain(spec, P)
+                leaves = chain_layers(spec, P)
                 if all(not l.indeterminate and l.e == P.e and l.f == P.f_deg for l in leaves):
                     v_rhs = leaves[0].get("rhs").v
                     if v_rhs % q == 0:
@@ -174,7 +155,7 @@ def _prime_verdict(instance, P):
                 return LocalVerdict.solvable("2-adic Hilbert symbol = +1"), "hilbert", None
             return LocalVerdict.unsolvable("2-adic Hilbert symbol = -1"), "hilbert", None
         return LocalVerdict.indeterminate("unguarded factor of q (wild)"), "wild", None
-    leaves = _chain(spec, P)
+    leaves = chain_layers(spec, P)
     worst = LocalVerdict.solvable("all leaves solvable")
     for leaf in leaves:
         v = local_norm_solvable(leaf, "rhs", norm_key, q, c_minus_one_key=norm_key + "m1")
@@ -183,17 +164,6 @@ def _prime_verdict(instance, P):
         if v.kind == LocalVerdict.INDETERMINATE:
             worst = v
     return worst, "chained", leaves
-
-
-def _chain(spec, P):
-    nodes = [start_node(spec, P)]
-    for key in _LAYERS:
-        nodes = [
-            child
-            for node in nodes
-            for child in extend_by_radical(node, key, spec.q, u_minus_one_key=key + "m1")
-        ]
-    return nodes
 
 
 def analyze(instance):
@@ -207,14 +177,14 @@ def analyze(instance):
     poles_outside_w = []
     none_hold = []
     for P in interest:
-        conds = _conditions_at(instance, P)
+        conds, (vx, _, vc), _ = protective_conditions(spec, P)
         verdict, note, leaves = _prime_verdict(instance, P)
         ledger.add(P, verdict, conds, note, leaves=leaves)
         in_w = P.p == q or any(P == s for s in instance.S)
         if not in_w:
-            if valuation(field, P, spec.x) < 0:
+            if vx < 0:
                 poles_outside_w.append(P)
-            if not any(conds) and valuation(field, P, spec.third) == 0:
+            if not any(conds) and vc == 0:
                 none_hold.append((P, verdict))
     arch = archimedean_check(field, spec.third, spec.rhs, q)
     global_verdict = ledger.finalize(arch)
@@ -243,8 +213,7 @@ def analyze_direct(field, q, c, rhs):
     the supports of c and rhs plus the factors of q, and the archimedean
     places.
     """
-    from .local import LocalPrime, archimedean_check
-    from .numberfield import residue_map, uniformizer
+    from .local import archimedean_check
 
     c = field.element(c)
     rhs = field.element(rhs)
@@ -259,21 +228,7 @@ def analyze_direct(field, q, c, rhs):
     ledger = LocalLedger()
     for key in sorted(interest):
         P = interest[key]
-        node = LocalPrime(P.p, P.e, P.f_deg)
-        pi = None
-        for name, val in (("c", c), ("rhs", rhs), ("cm1", c - field.one())):
-            if val.is_zero():
-                node.track(name, 10 ** 9)
-                continue
-            v = valuation(field, P, val)
-            res = None
-            if P.p != q or v == 0:
-                if v == 0:
-                    res = residue_map(field, P, val)
-                else:
-                    pi = pi or uniformizer(field, P)
-                    res = residue_map(field, P, val * pi ** (-v))
-            node.track(name, v, res)
+        node = tracked_node(field, P, q, {"c": c, "rhs": rhs, "cm1": c - field.one()})
         if field.degree == 1:
             node.rational = {"c": c.as_rational(), "rhs": rhs.as_rational()}
         verdict = local_norm_solvable(node, "rhs", "c", q, c_minus_one_key="cm1")
@@ -304,7 +259,7 @@ class BatteryResult:
         return out
 
 
-def integrality_battery(field, x, q, S=(), candidate_cap=64, seed=0):
+def integrality_battery(field, x, q, S=(), candidate_cap=64):
     """Hunt for (b, c) certifying that x has a forbidden pole.
 
     Follows the constructive recipe: b with order -1 at every candidate pole,
@@ -410,7 +365,7 @@ def b_set_membership(field, p, a, d, x, w_primes):
                 raise HypothesisFail(
                     ["a shape"], f"a is a p-th power residue at ({P.p}, #{P.index})"
                 )
-        elif not _wild_nonsplit_ok(field, P, a, p):
+        elif not two_adic_inert(a, p, P):
             raise HypothesisFail(
                 ["a shape"], f"no inert certificate for a at the wild prime ({P.p}, #{P.index})"
             )
@@ -418,16 +373,6 @@ def b_set_membership(field, p, a, d, x, w_primes):
         return True
     bound = lambda P: Fraction(p - 1, p) * valuation(field, P, d)
     return all(valuation(field, P, x) > bound(P) for P in w_primes)
-
-
-def _wild_nonsplit_ok(field, P, a, p):
-    # the one classical decidable case: Q_2, a = 5 mod 8 is inert
-    if p == 2 and P.p == 2 and P.e == 1 and P.f_deg == 1 and a.is_rational():
-        r = a.as_rational()
-        if r.denominator % 2 == 0 or r.numerator % 2 == 0:
-            return False
-        return r.numerator * pow(r.denominator, -1, 8) % 8 == 5
-    return False
 
 
 def c_set_membership(field, a, d, q, x, a_primes, nonsplit_certificate=None):
@@ -514,7 +459,7 @@ def unbounded_denominator_probe(tree, q, v_rhs_base, c_residue, max_depth=None):
     side's order (scaled by the relative e) is divisible by q, or c's
     residue has become a q-th power in the grown residue field.
     """
-    from .finitefield import FFElem, FiniteField, power_test_in_extension
+    from .finitefield import FiniteField, power_test_in_extension
 
     p = tree.base_prime
     if isinstance(c_residue, int):

@@ -42,7 +42,6 @@ from .modp import (
 from .polyq import (
     RationalInterval,
     UniPoly,
-    poly_gcd,
     poly_gcd_ext,
     real_root_isolate,
     refine_root,

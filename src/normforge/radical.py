@@ -31,6 +31,7 @@ from .errors import (
     MissingRootOfUnity,
     NormforgeError,
 )
+from .finitefield import power_residue_test
 from .kpoly import has_primitive_root_of_unity
 from .local import LocalPrime, extend_by_radical
 from .numberfield import (
@@ -120,52 +121,68 @@ def primes_of_interest(spec, extra=()):
     return [seen[k] for k in sorted(seen)]
 
 
-def start_node(spec, P):
-    """LocalPrime at P with every tower element tracked (valuation, residue)."""
-    field, q = spec.field, spec.q
+def tracked_node(field, P, q, elements):
+    """LocalPrime at P tracking each named element: valuation and residue.
+
+    The residue is the element's own when it is a unit, else that of its unit
+    part after a uniformizer shift; at a factor of q only units get one.  A
+    zero element gets the valuation 10**9, a stand-in for +infinity that
+    passes every guard.
+    """
     node = LocalPrime(P.p, P.e, P.f_deg)
     pi = None
-    elems = spec.elements()
-    # difference elements drive the p | q Hensel guard
-    one = field.one()
-    diffs = {key + "m1": elems[key] - one for key in _LAYER_KEYS}
-    diffs[spec.third_name + "m1"] = spec.third - one
-    for key, val in {**elems, **diffs}.items():
+    for key, val in elements.items():
         if val.is_zero():
-            node.track(key, 10 ** 9)  # stand-in for +infinity; any guard passes
+            node.track(key, 10 ** 9)
             continue
         v = valuation(field, P, val)
         res = None
-        if P.p != q or v == 0:
-            if v == 0:
-                res = residue_map(field, P, val)
-            else:
-                if pi is None:
-                    pi = uniformizer(field, P)
-                res = residue_map(field, P, val * pi ** (-v))
+        if v == 0:
+            res = residue_map(field, P, val)
+        elif P.p != q:
+            if pi is None:
+                pi = uniformizer(field, P)
+            res = residue_map(field, P, val * pi ** (-v))
         node.track(key, v, res)
-    if field.degree == 1:
-        node.rational = {k: v.as_rational() for k, v in elems.items()}
     return node
+
+
+def start_node(spec, P):
+    """LocalPrime at P with every tower element tracked (valuation, residue)."""
+    elems = spec.elements()
+    # difference elements drive the p | q Hensel guard
+    one = spec.field.one()
+    elems.update({key + "m1": elems[key] - one for key in _LAYER_KEYS})
+    elems[spec.third_name + "m1"] = spec.third - one
+    return tracked_node(spec.field, P, spec.q, elems)
+
+
+def chain_layers(spec, P):
+    """Leaves at P of the three layers, applied in the fixed order r1, r2, r3.
+
+    No mu_q check: norm-equation analysis also chains over fields without
+    the q-th roots of unity.
+    """
+    nodes = [start_node(spec, P)]
+    for key in _LAYER_KEYS:
+        nodes = [child for node in nodes for child in extend_by_radical(node, key, spec.q, u_minus_one_key=key + "m1")]
+    return nodes
+
+
+def _require_mu_q(spec):
+    if not has_primitive_root_of_unity(spec.field, spec.q):
+        raise MissingRootOfUnity(f"{spec.field.name} lacks a primitive {spec.q}-th root of unity")
 
 
 def build_tower(spec, primes=None):
     """Chain the three layers at each prime of interest.
 
-    Returns {PrimeIdeal: [leaf LocalPrime]} with full traces; layers are
-    applied in the fixed order r1, r2, r3.
+    Returns {PrimeIdeal: [leaf LocalPrime]} with full traces.
     """
-    if not has_primitive_root_of_unity(spec.field, spec.q):
-        raise MissingRootOfUnity(f"{spec.field.name} lacks a primitive {spec.q}-th root of unity")
+    _require_mu_q(spec)
     if primes is None:
         primes = primes_of_interest(spec)
-    out = {}
-    for P in primes:
-        nodes = [start_node(spec, P)]
-        for key in _LAYER_KEYS:
-            nodes = [child for node in nodes for child in extend_by_radical(node, key, spec.q, u_minus_one_key=key + "m1")]
-        out[P] = nodes
-    return out
+    return {P: chain_layers(spec, P) for P in primes}
 
 
 # ---------------------------------------------------------------------------
@@ -209,31 +226,45 @@ class PropositionReport:
         }
 
 
-def _badprime_hypotheses(report, spec, P):
+def protective_conditions(spec, P):
+    """The four protective conditions of the norm statement at P.
+
+    Returns (conditions, (v(x), v(b), v(c)), residue of c).  The conditions
+    are: c is a q-th power mod P (False unless v(c) = 0), v(x) >= 0,
+    q v(x) >= (q-1) v(b), and v(b) == 0 mod q.  The residue is None unless
+    v(c) = 0.  The bad-prime hypotheses are p not| q and their negations.
+    """
     field, q = spec.field, spec.q
     vx = valuation(field, P, spec.x)
     vb = valuation(field, P, spec.second)
     vc = valuation(field, P, spec.third)
+    res = None
+    c_power = False
+    if vc == 0:
+        res = residue_map(field, P, spec.third)
+        c_power = power_residue_test(res, P.residue_field(), q)
+    conditions = [c_power, vx >= 0, q * vx >= (q - 1) * vb, vb % q == 0]
+    return conditions, (vx, vb, vc), res
+
+
+def _badprime_hypotheses(report, spec, P):
+    q = spec.q
+    (c_power, no_pole, slope_ok, b_order_ok), (vx, vb, vc), res = protective_conditions(spec, P)
     name2 = spec.third_name
     report.add_hypothesis("p_K is not a factor of q", P.p != q, f"p = {P.p}")
     if vc == 0:
-        from .finitefield import power_residue_test
-
-        res = residue_map(field, P, spec.third)
-        nonpow = not power_residue_test(res, P.residue_field(), q)
         report.add_hypothesis(
-            f"{name2} is not a q-th power mod p_K", nonpow, f"residue {list(res.coeffs)}"
+            f"{name2} is not a q-th power mod p_K", not c_power, f"residue {list(res.coeffs)}"
         )
     else:
         report.add_hypothesis(f"{name2} is not a q-th power mod p_K", False, f"v({name2}) = {vc} != 0")
-    report.add_hypothesis("x has a pole at p_K", vx < 0, f"v(x) = {vx}")
+    report.add_hypothesis("x has a pole at p_K", not no_pole, f"v(x) = {vx}")
     report.add_hypothesis(
-        f"v({spec.second_name}) !== 0 mod q", vb % q != 0, f"v({spec.second_name}) = {vb}"
+        f"v({spec.second_name}) !== 0 mod q", not b_order_ok, f"v({spec.second_name}) = {vb}"
     )
     report.add_hypothesis(
-        f"q v(x) < (q-1) v({spec.second_name})", q * vx < (q - 1) * vb, f"{q * vx} < {(q - 1) * vb}"
+        f"q v(x) < (q-1) v({spec.second_name})", not slope_ok, f"{q * vx} < {(q - 1) * vb}"
     )
-    return vx, vb, vc
 
 
 def _badprimeq_hypotheses(report, spec, Q):
@@ -253,7 +284,6 @@ def _badprimeq_hypotheses(report, spec, Q):
     report.add_hypothesis("v(d) <= -3 v(q)", vd <= -3 * Q.e, f"v(d) = {vd}, -3v(q) = {-3 * Q.e}")
     report.add_hypothesis("v(a) = 0", va == 0, f"v(a) = {va}")
     report.add_hypothesis("q v(x) < (q-1) v(d)", q * vx < (q - 1) * vd, f"{q * vx} < {(q - 1) * vd}")
-    return vx, vd, va
 
 
 def check_nonsplit_certificate(spec, Q):
@@ -280,16 +310,7 @@ def check_nonsplit_certificate(spec, Q):
         f = frobenius_residue_degree(cert["ell"], cert["d"], q)
         return f % q == 0 and Q.f_deg % q != 0
     if kind == "two-adic":
-        if q != 2 or Q.p != 2 or Q.e != 1 or Q.f_deg != 1:
-            return None
-        a = spec.third
-        if not a.is_rational():
-            return None
-        a = a.as_rational()
-        if a.denominator % 2 == 0 or a.numerator % 2 == 0:
-            return False
-        res = a.numerator * pow(a.denominator, -1, 8) % 8
-        return res == 5
+        return two_adic_inert(spec.third, q, Q)
     if kind == "global":
         from .numberfield import NumberField
 
@@ -299,6 +320,21 @@ def check_nonsplit_certificate(spec, Q):
             P.f_deg % q == 0 or P.e % q == 0 for P in primes
         )
     return None
+
+
+def two_adic_inert(a, q, P):
+    """Is the layer from a square root of a inert at P, over the base completion Q_2?
+
+    The one classical decidable wild case: True iff the rational a is
+    == 5 mod 8, False for any other rational a; None when q != 2, P is not
+    the unramified degree-1 prime over 2, or a is not rational.
+    """
+    if q != 2 or P.p != 2 or P.e != 1 or P.f_deg != 1 or not a.is_rational():
+        return None
+    a = a.as_rational()
+    if a.denominator % 2 == 0 or a.numerator % 2 == 0:
+        return False
+    return a.numerator * pow(a.denominator, -1, 8) % 8 == 5
 
 
 def verify_proposition(kind, spec, target_prime=None):
@@ -314,7 +350,6 @@ def verify_proposition(kind, spec, target_prime=None):
     if kind in ("badprimeq", "fixorderq") and spec.variant != XDA:
         raise NormforgeError(f"{kind} needs the XDA variant")
     report = PropositionReport(kind, spec)
-    q = spec.q
     if kind == "badprime":
         if target_prime is None:
             raise NormforgeError("badprime needs a target prime")
@@ -392,9 +427,11 @@ def _check_badprimeq_conclusions(report, spec, Q, leaves):
 def _check_fixorder_conclusions(report, spec, kind):
     q = spec.q
     field = spec.field
-    pole_excl = spec.x if kind == "fixorder" else None
     checked_keys = ("c", "rhs", "x") if kind == "fixorder" else ("d", "a", "rhs")
     interest = primes_of_interest(spec)
+    # mu_q is checked once, at the first prime that reaches the tower: a field
+    # without mu_q whose primes are all excluded passes
+    mu_q_checked = False
     for P in interest:
         vx = valuation(field, P, spec.x)
         vd = valuation(field, P, spec.second)
@@ -415,7 +452,10 @@ def _check_fixorder_conclusions(report, spec, kind):
                     f"orders at ({P.p}, #{P.index})", "excluded", "pole of d or x, outside the statement"
                 )
                 continue
-        leaves = build_tower(spec, primes=[P])[P]
+        if not mu_q_checked:
+            _require_mu_q(spec)
+            mu_q_checked = True
+        leaves = chain_layers(spec, P)
         report.local_trace[P] = leaves
         if any(leaf.indeterminate for leaf in leaves):
             report.add_conclusion(

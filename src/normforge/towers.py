@@ -186,16 +186,6 @@ class FactorTree:
         }
 
 
-def _residue_kth_power(r, p, f, k):
-    """Is the prime-field unit r a k-th power in F_{p^f}?"""
-    group = p ** f - 1
-    if group % k != 0:
-        return True
-    if p == 2:
-        return True  # F_2* is trivial; 1 is every power
-    return pow(r, (group // k) % (p - 1), p) == 1
-
-
 def _radical_children(node, p, k, u, xi_known):
     """Tame closed-form children of adjoining a k-th root of rational u."""
     u = Fraction(u)
@@ -222,10 +212,12 @@ def _radical_children(node, p, k, u, xi_known):
         return [(node.e, node.f, True, f"composite partial ramification at v={v_node}")]
     if v_node != 0:
         return [(node.e, node.f, True, f"unit-part residue unknown at v={v_node}")]
-    r = u.numerator * pow(u.denominator, -1, p) % p
     group = p ** node.f - 1
     if group % k == 0:
-        if _residue_kth_power(r, p, node.f, k):
+        from .finitefield import FiniteField, power_test_in_extension
+
+        r = FiniteField(p).element(u.numerator * pow(u.denominator, -1, p))
+        if power_test_in_extension(r, k, node.f):
             return [(node.e, node.f, False, "split: residue is a k-th power")] * k
         if is_prime(k):
             return [(node.e, node.f * k, False, "inert: residue not a k-th power")]

@@ -1,14 +1,26 @@
 """CLI surfaces: JSON reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from normforge.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+README_SPEC = {
+    "field": {"poly": ["1", "1", "1"]},
+    "q": 3,
+    "variant": "XBC",
+    "x": ["1/7", "0"],
+    "b": ["1/7", "0"],
+    "c": ["82", "0"],
+}
 
 
 def run_module(args):
@@ -96,23 +108,15 @@ def test_determinism_byte_identical(tmp_path):
     outs = []
     for _ in range(2):
         proc = run_module(["normeq", "battery",
-                           "--x", '"1/7"', "--q", "3", "--field", "[1,1,1]", "--seed", "7"])
+                           "--x", '"1/7"', "--q", "3", "--field", "[1,1,1]"])
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
 
 
 def test_verify_prop_cli(tmp_path, capsys):
-    spec = {
-        "field": {"poly": ["1", "1", "1"]},
-        "q": 3,
-        "variant": "XBC",
-        "x": ["1/7", "0"],
-        "b": ["1/7", "0"],
-        "c": ["82", "0"],
-    }
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(README_SPEC))
     code, out = run_cli(
         ["verify", "prop", "--kind", "badprime", "--spec", str(path), "--prime", "7"],
         capsys)
@@ -132,16 +136,8 @@ def test_tower_grow_and_recipe_alias(capsys):
 
 
 def test_normeq_analyze_cli(tmp_path, capsys):
-    instance = {
-        "field": {"poly": ["1", "1", "1"]},
-        "q": 3,
-        "variant": "XBC",
-        "x": ["1/7", "0"],
-        "b": ["1/7", "0"],
-        "c": ["82", "0"],
-    }
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(instance))
+    path.write_text(json.dumps(README_SPEC))
     code, out = run_cli(["normeq", "analyze", "--instance", str(path)], capsys)
     assert code == 0
     report = json.loads(out)
@@ -159,15 +155,30 @@ def test_ec_lemmas_cli(capsys):
     assert report["equiv_m"] >= 1
 
 
-def test_run_config_caps():
-    from normforge.cli import RunConfig
-    from normforge.errors import NormforgeError
-    import pytest as _pytest
+def test_depth_cap_must_be_positive(capsys):
+    for cap in ("0", "-1"):
+        code, out = run_cli(["--depth-cap", cap, "tower", "grow", "--recipe", "five-power",
+                             "--prime", "5", "--depth", "1"], capsys)
+        assert code == 1
+        assert json.loads(out)["message"] == "depth_cap must be positive"
 
-    cfg = RunConfig(seed=7)
-    assert cfg.depth_cap > 0 and cfg.precision_cap > 0
-    with _pytest.raises(NormforgeError):
-        RunConfig(depth_cap=0)
+
+@pytest.mark.parametrize("args, digest", [
+    (["verify", "prop", "--kind", "badprime", "--spec", "{spec}", "--prime", "7"],
+     "09c076cd15e59aaf"),
+    (["verify", "prop", "--kind", "fixorder", "--spec", "{spec}"], "77183dafcffefd8f"),
+    (["normeq", "analyze", "--instance", "{spec}"], "c8b1b163d027fb32"),
+    (["normeq", "battery", "--x", '"1/7"', "--q", "3", "--field", "[1,1,1]"],
+     "590673b496f926e1"),
+    (["normeq", "battery", "--x", '"1/5"', "--q", "2"], "ea6501a7ce07cdea"),
+])
+def test_verdict_reports_byte_pinned(tmp_path, capsys, args, digest):
+    # SHA-256 prefixes of stdout on the README spec (Q(zeta_3), q = 3, x = b = 1/7, c = 82)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(README_SPEC))
+    code, out = run_cli([a.format(spec=path) for a in args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_depth_cap_enforced(capsys):

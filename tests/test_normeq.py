@@ -1,5 +1,7 @@
 """Norm-equation verdicts, battery behavior, and the membership predicates."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -56,6 +58,18 @@ def _sum_two_squares(n):
         if b * b == b2:
             return True
     return False
+
+
+@pytest.mark.parametrize("c, rhs, digest", [
+    (-1, 3, "52607f11d12040ee"),
+    (-1, 9, "8f38aee033dc197d"),
+    (5, 2, "23562cdc0aed2589"),
+    (3, 7, "a45953e95c1eb024"),
+])
+def test_analyze_direct_ledger_byte_pinned(c, rhs, digest):
+    _, ledger = analyze_direct(Q, 2, c, rhs)
+    text = json.dumps(ledger.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_analyze_direct_agrees_with_hilbert_symbols_on_grid():

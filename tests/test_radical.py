@@ -49,6 +49,18 @@ def test_missing_root_of_unity():
         build_tower(spec)
 
 
+def test_fixorder_checks_mu_q_once(monkeypatch):
+    from normforge import radical
+
+    calls = []
+    real = radical.has_primitive_root_of_unity
+    monkeypatch.setattr(radical, "has_primitive_root_of_unity",
+                        lambda field, q: calls.append(q) or real(field, q))
+    report = verify_proposition("fixorder", FIXTURE)
+    assert [c["holds"] for c in report.conclusions] == ["yes", "excluded", "excluded", "excluded", "yes"]
+    assert calls == [3]
+
+
 def test_build_tower_fixture_splits():
     P7a, P7b = splitting_type(K3, 7)
     leaves = build_tower(FIXTURE, primes=[P7a, P7b])
