@@ -117,20 +117,6 @@ class GammaPoly:
     def const(cls, layer, poly):
         return cls(layer, [poly] + [layer.zero] * (layer.degree - 1))
 
-    def _aligned(self, other):
-        d = self.den_power - other.den_power
-        if d == 0:
-            return self, other
-        if d > 0:
-            scale = self.layer.den_power(d)
-            return self, GammaPoly(self.layer, [c * scale for c in other.coeffs], self.den_power)
-        scale = self.layer.den_power(-d)
-        return GammaPoly(self.layer, [c * scale for c in self.coeffs], other.den_power), other
-
-    def __add__(self, other):
-        a, b = self._aligned(other)
-        return GammaPoly(a.layer, [x + y for x, y in zip(a.coeffs, b.coeffs)], a.den_power)
-
     def __mul__(self, other):
         D = self.layer.degree
         conv = [self.layer.zero for _ in range(2 * D - 1)]

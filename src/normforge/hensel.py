@@ -1,6 +1,9 @@
 """Hensel lifting of coprime polynomial factorizations from mod p to mod p^m.
 
-Two entry points:
+Lifting is quadratic: each step doubles the precision and lifts the Bezout
+cofactors along with the factors (von zur Gathen & Gerhard, Modern Computer
+Algebra, Alg. 15.10).  A monic lift mod p^m is unique, so the result does not
+depend on the order of the steps.  Two entry points:
 
 * hensel_lift_factorization: the public operation.  Requires f squarefree
   mod p, lifts its irreducible mod-p factors.
@@ -27,31 +30,30 @@ from .modp import (
 )
 
 
-def _lift_pair(f, g, h, s, t, p, k):
-    """One linear Hensel step: from mod p^k to mod p^(k+1).
-
-    Invariants: f == g*h mod p^k, s*g + t*h == 1 mod p, g monic.
-    """
-    q = p ** (k + 1)
-    e = psub(f, pmul(g, h, q), q)
-    assert all(c % p ** k == 0 for c in e)
-    delta = pnormalize([c // p ** k for c in e], p)
-    # correction: g += p^k * (t*delta mod g), h += p^k * (s*delta + carry)
-    qq, gcorr = pdivmod(pmul(t, delta, p), g, p)
-    hcorr = padd(pmul(s, delta, p), pmul(qq, h, p), p)
-    g2 = padd(g, [p ** k * c for c in gcorr], q)
-    h2 = padd(h, [p ** k * c for c in hcorr], q)
-    return g2, h2
-
-
 def lift_pair_to(f, g0, h0, p, m):
-    """Lift f = g0*h0 (mod p), gcd(g0,h0)=1, both monic, to mod p^m."""
+    """Lift f = g0*h0 (mod p), gcd(g0,h0)=1, both monic, to mod p^m.
+
+    Quadratic lifting (von zur Gathen & Gerhard, MCA Alg. 15.10): each step
+    takes f == g*h and s*g + t*h == 1 from mod p^k to mod p^(2k), capped at
+    p^m, so m is reached in about log2(m) steps.
+    """
     gcd, s, t = pgcd_ext(g0, h0, p)
     if len(gcd) != 1:
         raise NotSquarefreeAtP("factors are not coprime mod p")
-    g, h = [c % p for c in g0], [c % p for c in h0]
-    for k in range(1, m):
-        g, h = _lift_pair(f, g, h, s, t, p, k)
+    g, h = pnormalize(g0, p), pnormalize(h0, p)
+    k = 1
+    while k < m:
+        k = min(2 * k, m)
+        q = p ** k
+        e = psub(f, pmul(g, h, q), q)
+        quo, r = pdivmod(pmul(s, e, q), h, q)
+        g = padd(g, padd(pmul(t, e, q), pmul(quo, g, q), q), q)
+        h = padd(h, r, q)
+        if k < m:  # the cofactors are needed only for a further step
+            b = psub(padd(pmul(s, g, q), pmul(t, h, q), q), [1], q)
+            c, d = pdivmod(pmul(s, b, q), h, q)
+            s = psub(s, d, q)
+            t = psub(t, padd(pmul(t, b, q), pmul(c, g, q), q), q)
     return pnormalize(g, p ** m), pnormalize(h, p ** m)
 
 

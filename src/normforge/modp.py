@@ -169,7 +169,7 @@ def _squarefree_decomp(f, p):
     return out
 
 
-def _distinct_degree(f, p):
+def distinct_degree(f, p):
     """[(product of irreducibles of degree d, d)] for squarefree monic f."""
     out = []
     x = [0, 1]
@@ -233,7 +233,7 @@ def factor_poly_mod_p(f, p, seed=DEFAULT_SEED):
     rng = random.Random(seed)
     out = []
     for g, mult in _squarefree_decomp(f, p):
-        for h, d in _distinct_degree(g, p):
+        for h, d in distinct_degree(g, p):
             for irr in _equal_degree_split(h, d, p, rng):
                 out.append((irr, mult))
     out.sort(key=lambda t: (len(t[0]), t[0]))
@@ -245,7 +245,3 @@ def _frac_mod(c, p):
         raise NormforgeError("coefficient denominator divisible by p")
     return c.numerator * pow(c.denominator, -1, p) % p
 
-
-def poly_from_unipoly_mod_p(f, p):
-    """Reduce a UniPoly with p-integral coefficients mod p."""
-    return trim([_frac_mod(c, p) for c in f.coeffs])

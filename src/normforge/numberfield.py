@@ -4,6 +4,11 @@ Only the order Z[theta] is supported.  Every prime-sensitive operation runs
 the Dedekind criterion first and raises NonMonogenicAtP rather than silently
 computing in a non-maximal order.
 
+Element arithmetic is fraction-free: coordinates are cleared to one integer
+vector over a common denominator, products are reduced through a table of
+theta^k mod f, and inverses and norms come from Bareiss elimination on the
+integer matrix of multiplication by an element (Cohen, GTM 138, section 4.2).
+
 Splitting is Kummer-Dedekind: the primes above p correspond to the
 irreducible factors of f mod p, with e = multiplicity and f_deg = degree.
 Valuations go through the p-adic block factorization of f: the block lifted
@@ -36,16 +41,15 @@ from .modp import (
     pdivmod,
     pgcd,
     pmul,
-    poly_from_unipoly_mod_p,
+    pnormalize,
+    psub,
     trim,
 )
 from .polyq import (
     RationalInterval,
     UniPoly,
-    poly_gcd_ext,
     real_root_isolate,
     refine_root,
-    resultant,
     sign_at_root,
 )
 
@@ -74,9 +78,11 @@ class NumberField:
         self.poly = poly
         self.degree = poly.degree
         self.name = name or f"Q[x]/({_poly_label(poly)})"
+        self._ints = poly.int_coeffs()
         self._block_cache = {}
         self._splitting_cache = {}
         self._real_roots = None
+        self._high_powers = None
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.poly == other.poly
@@ -111,6 +117,17 @@ class NumberField:
 
     def one(self):
         return self.element(1)
+
+    def high_powers(self):
+        """theta^k mod f as integer rows of length n, for k = n .. 2n-2."""
+        if self._high_powers is None:
+            row = [-c for c in self._ints[:-1]]
+            rows = []
+            for _ in range(self.degree - 1):
+                rows.append(row)
+                row = _times_x(row, self._ints)
+            self._high_powers = rows
+        return self._high_powers
 
     def real_root_intervals(self):
         if self._real_roots is None:
@@ -156,7 +173,7 @@ class FieldElement:
 
     def __init__(self, field, coords):
         self.field = field
-        self.coords = [Fraction(c) for c in coords]
+        self.coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -204,22 +221,41 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, [a * other for a in self.coords])
         other = self._coerce(other)
-        prod = self.poly() * other.poly()
-        red = prod % self.field.poly
-        coords = list(red.coeffs) + [Fraction(0)] * (self.field.degree - len(red.coeffs))
-        return FieldElement(self.field, coords)
+        a, da = _cleared(self.coords)
+        b, db = _cleared(other.coords)
+        n = len(a)
+        conv = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        red = conv[:n]
+        for c, row in zip(conv[n:], self.field.high_powers()):
+            if c:
+                for i, r in enumerate(row):
+                    red[i] += c * r
+        den = da * db
+        return FieldElement(self.field, [Fraction(c, den) for c in red])
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """alpha^-1 by Cramer's rule on the matrix of multiplication by alpha."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0")
-        g, s, _ = poly_gcd_ext(self.poly(), self.field.poly)
-        if g.degree != 0:
+        a, den = _cleared(self.coords)
+        n = len(a)
+        cols = _mult_columns(self.field._ints, a)
+        # augmented rows [M | e_0]: M x = e_0 holds the coordinates of 1 / a
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+        det = _bareiss(rows, n)
+        if det == 0:
             raise NormforgeError("defining polynomial not irreducible?")
-        inv = s.scale(1 / g.coeffs[0]) % self.field.poly
-        coords = list(inv.coeffs) + [Fraction(0)] * (self.field.degree - len(inv.coeffs))
-        return FieldElement(self.field, coords)
+        y = [0] * n  # y = det * x, integral by Cramer's rule
+        for i in range(n - 1, -1, -1):
+            r = rows[i]
+            y[i] = (det * r[n] - sum(r[j] * y[j] for j in range(i + 1, n))) // r[i]
+        return FieldElement(self.field, [Fraction(den * c, det) for c in y])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -238,16 +274,76 @@ class FieldElement:
         return result
 
     def norm(self):
-        """N_{K/Q}(alpha) = Res(f, A) for monic f."""
+        """N_{K/Q}(alpha), the determinant of multiplication by alpha."""
         if self.is_zero():
             return Fraction(0)
-        return resultant(self.field.poly, self.poly())
-
-    def denominator(self):
-        return math.lcm(*(c.denominator for c in self.coords))
+        a, den = _cleared(self.coords)
+        return Fraction(_mult_det(self.field._ints, a), den ** len(a))
 
     def __repr__(self):
         return f"FieldElement({self.coords} in {self.field.name})"
+
+
+def _cleared(coords):
+    """(integer vector, common denominator d) with coords = vector / d."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _times_x(v, f):
+    """x * v mod the monic integer f, for v of length deg f."""
+    t = v[-1]
+    if not t:
+        return [0] + v[:-1]
+    return [-t * f[0]] + [v[i - 1] - t * f[i] for i in range(1, len(v))]
+
+
+def _mult_columns(f, a):
+    """Columns x^j * a mod f, j < deg f, of the integer matrix of
+    multiplication by a on Z[x]/(f), for monic integer f and any integer a."""
+    n = len(f) - 1
+    k = max(len(a) - n, 0)
+    col = list(a[k:]) + [0] * (n - len(a) + k)
+    for c in reversed(a[:k]):  # Horner on the low part reduces a mod f
+        col = _times_x(col, f)
+        col[0] += c
+    cols = [col]
+    for _ in range(n - 1):
+        col = _times_x(col, f)
+        cols.append(col)
+    return cols
+
+
+def _bareiss(rows, n):
+    """Fraction-free elimination of the first n columns, in place.
+
+    Rows may carry further columns (right-hand sides) along.  Afterwards
+    rows[i][i] are the pivots and the entries right of them form the
+    fraction-free echelon form.  Returns the determinant of the leading
+    n x n block (0 when it is singular).
+    """
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        top = rows[k][k + 1:]
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            r = rows[i]
+            a = r[k]
+            rows[i] = r[:k + 1] + [(pivot * x - a * y) // prev for x, y in zip(r[k + 1:], top)]
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
+
+
+def _mult_det(f, a):
+    """Res(f, a) = N(a(theta)) for monic integer f: the determinant of
+    multiplication by a on Z[x]/(f), eliminated by columns."""
+    return _bareiss(_mult_columns(f, a), len(f) - 1)
 
 
 class PrimeIdeal:
@@ -288,21 +384,22 @@ class PrimeIdeal:
 
 def dedekind_criterion_ok(field, p):
     """True iff Z[theta] is maximal at p (Dedekind's criterion)."""
-    fint = field.poly.int_coeffs()
-    factors = factor_poly_mod_p(fint, p)
+    return _dedekind_holds(field._ints, p, factor_poly_mod_p(field._ints, p))
+
+
+def _dedekind_holds(f, p, factors):
+    """Dedekind's criterion for monic integer f and its factorization mod p."""
     gbar = [1]
     hbar = [1]
     for g, e in factors:
         gbar = pmul(gbar, g, p)
         for _ in range(e - 1):
             hbar = pmul(hbar, g, p)
-    # lift gbar, hbar to Z monic, T = (g*h - f)/p
-    glift = UniPoly([c if c <= p // 2 else c - p for c in gbar])
-    hlift = UniPoly([c if c <= p // 2 else c - p for c in hbar])
-    T = (glift * hlift - field.poly).scale(Fraction(1, p))
-    if any(c.denominator != 1 for c in T.coeffs):
+    # with any integer lifts of gbar and hbar, T = (g*h - f)/p; mod p^2 suffices
+    diff = psub(pmul(gbar, hbar, p * p), f, p * p)
+    if any(c % p for c in diff):
         raise AssertionError("Dedekind lift arithmetic broke")
-    Tbar = poly_from_unipoly_mod_p(T, p)
+    Tbar = pnormalize([c // p for c in diff], p)
     d = pgcd(pgcd(Tbar, gbar, p), hbar, p)
     return len(d) == 1
 
@@ -314,9 +411,9 @@ def splitting_type(field, p):
         return field._splitting_cache[key]
     if not is_prime(p):
         raise NormforgeError(f"{p} is not prime")
-    if not dedekind_criterion_ok(field, p):
+    factors = factor_poly_mod_p(field._ints, p)
+    if not _dedekind_holds(field._ints, p, factors):
         raise NonMonogenicAtP(f"Z[theta] is not maximal at {p} for {field.name}")
-    factors = factor_poly_mod_p(field.poly.int_coeffs(), p)
     primes = []
     for idx, (g, e) in enumerate(factors):
         primes.append(PrimeIdeal(field, p, g, e, len(g) - 1, idx))
@@ -338,18 +435,17 @@ def local_blocks(field, p, m):
         for _ in range(P.e):
             b = pmul(b, list(P.g), p)
         blocks_mod_p.append(b)
-    lifted = lift_blocks(field.poly.int_coeffs(), blocks_mod_p, p, m)
+    lifted = lift_blocks(field._ints, blocks_mod_p, p, m)
     field._block_cache[key] = lifted
     return lifted
 
 
 def _integral_rep(alpha, p):
-    """(A, s) with A an integer-coefficient UniPoly, A(theta) = p^s * d0 * alpha,
+    """(A, s, d0) with A an integer vector, A(theta) = p^s * d0 * alpha,
     gcd(d0, p) = 1, s = p-part of the coordinate denominators."""
-    den = alpha.denominator()
+    A, den = _cleared(alpha.coords)
     s = valuation_int(den, p) if den % p == 0 else 0
-    scaled = [c * den for c in alpha.coords]
-    return UniPoly(scaled), s, den // p ** s
+    return A, s, den // p ** s
 
 
 def valuation(field, P, alpha):
@@ -368,7 +464,7 @@ def valuation(field, P, alpha):
     while m <= MAX_PRECISION:
         blocks = local_blocks(field, p, m)
         F = blocks[P.index]
-        v_res = _resultant_valuation(F, A.int_coeffs(), p, m)
+        v_res = _resultant_valuation(F, A, p, m)
         if v_res is None or v_res >= m - 1:
             m *= 2
             prev = None
@@ -389,15 +485,14 @@ def _resultant_valuation(F, A, p, m):
     F is the lifted monic block (known mod p^m only); Res over the integer
     lifts agrees with the true resultant mod p^m, so any valuation < m is
     exact.  A is reduced centered mod p^m to keep sizes down; F is monic, so
-    Res(F, A) = prod A(theta_i) is insensitive to A's nominal degree.
+    Res(F, A) = prod A(theta_i) = det(multiplication by A mod F) is
+    insensitive to A's nominal degree.
     """
     q = p ** m
     a = [centered_residue(c, q) for c in A]
     if not any(a):
         return None
-    exact = resultant(UniPoly([centered_residue(c, q) for c in F]), UniPoly(a))
-    assert exact.denominator == 1
-    exact = int(exact)
+    exact = _mult_det([centered_residue(c, q) for c in F], a)
     if exact == 0 or exact % q == 0:
         return None
     return valuation_int(exact, p)
@@ -413,7 +508,7 @@ def residue_map(field, P, alpha, precision_pad=4):
     m = max(2 * s + precision_pad, precision_pad)
     q = p ** m
     blocks = local_blocks(field, p, m)
-    B = pdivmod(A.int_coeffs(), blocks[P.index], q)[1]
+    B = pdivmod(A, blocks[P.index], q)[1]
     # alpha unit at P means A(theta) lies in p^s * O_P exactly
     if any(c % p ** s for c in B):
         raise NotAUnit("element has nonzero valuation at P (p-part mismatch)")
@@ -489,12 +584,11 @@ def element_support(field, alpha):
     alpha = field.element(alpha)
     if alpha.is_zero():
         raise NormforgeError("support of 0 is everything")
-    den = alpha.denominator()
-    num_res = resultant(field.poly, UniPoly([c * den for c in alpha.coords]))
-    assert num_res.denominator == 1
+    A, den = _cleared(alpha.coords)
+    num_res = _mult_det(field._ints, A)
     candidates = set(factorint(den)) if den != 1 else set()
     if num_res != 0:
-        candidates |= set(factorint(int(num_res))) if abs(int(num_res)) != 1 else set()
+        candidates |= set(factorint(num_res)) if abs(num_res) != 1 else set()
     out = []
     for p in sorted(candidates):
         for P in splitting_type(field, p):
@@ -703,7 +797,7 @@ def _int_coeff_vector(elem, q):
 
 
 def _reduce_mod_f(vec, field, q):
-    r = pdivmod(vec, field.poly.int_coeffs(), q)[1]
+    r = pdivmod(vec, field._ints, q)[1]
     return r + [0] * (field.degree - len(r))
 
 

@@ -195,9 +195,6 @@ class UniPoly:
             out = out * inner + UniPoly([c])
         return out
 
-    def reverse(self):
-        return UniPoly(list(reversed(self.coeffs)))
-
     def __repr__(self):
         if self.is_zero():
             return "UniPoly(0)"
@@ -229,22 +226,6 @@ def poly_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
-
-
-def poly_gcd_ext(a, b):
-    """(g, s, t) with s*a + t*b = g, g the monic gcd."""
-    r0, r1 = a, b
-    s0, s1 = UniPoly.one(), UniPoly.zero()
-    t0, t1 = UniPoly.zero(), UniPoly.one()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.leading()
-    return r0.monic(), s0.scale(1 / lc), t0.scale(1 / lc)
 
 
 def resultant(f, g):

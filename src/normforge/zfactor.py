@@ -4,6 +4,11 @@ Used for irreducibility certificates of defining polynomials and Gaussian
 period polynomials, and as the rational-side engine of Trager's method for
 factoring over a number field.  Sizes here are desk scale (degree <= ~30),
 so plain subset recombination after Hensel lifting is adequate.
+
+Irreducibility is first tried by a mod-p degree sieve: a factor of degree d
+over Q has degree d mod every good prime p, so d must be a sum of the degrees
+of the irreducible factors of f mod p.  When no d in [1, n-1] is such a sum
+at every sieve prime, f is irreducible and no Zassenhaus run is needed.
 """
 
 import itertools
@@ -12,8 +17,10 @@ import math
 from .errors import NormforgeError
 from .hensel import lift_blocks
 from .intfunc import centered_residue, is_prime, next_prime
-from .modp import factor_poly_mod_p, pderiv, pgcd, pmul, pnormalize
+from .modp import distinct_degree, factor_poly_mod_p, pderiv, pgcd, pmonic, pmul, pnormalize
 from .polyq import UniPoly, yun_squarefree
+
+SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 def _mignotte_bound(f):
@@ -111,21 +118,26 @@ def factor_over_q(f):
 
 
 def is_irreducible_over_q(f):
-    """True iff f (degree >= 1) is irreducible over Q."""
+    """True iff f (degree >= 1) is irreducible over Q.
+
+    The degree sieve runs over the SIEVE_PRIMES that do not divide lc(f) and
+    keep f squarefree mod p; Zassenhaus decides whatever it leaves open.
+    """
     if f.degree is None or f.degree < 1:
         return False
-    g = poly_gcd_quick(f)
-    if g is not None and g != f.monic():
-        return False
+    ints = f.primitive_int().int_coeffs()
+    open_degrees = (1 << f.degree) - 2  # bit d: a factor of degree d is not ruled out
+    for p in SIEVE_PRIMES:
+        if not open_degrees:
+            break
+        if not _squarefree_mod(ints, p):
+            continue
+        sums = 1  # bit d: d is a sum of mod-p factor degrees
+        for g, d in distinct_degree(pmonic(pnormalize(ints, p), p), p):
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+        open_degrees &= sums
+    if not open_degrees:
+        return True
     _, factors = factor_over_q(f)
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == f.degree
-
-
-def poly_gcd_quick(f):
-    # cheap squarefree pre-check; returns squarefree part if it differs
-    from .polyq import poly_gcd
-
-    g = poly_gcd(f, f.derivative())
-    if g.degree and g.degree > 0:
-        return (f // g).monic()
-    return None

@@ -175,6 +175,36 @@ def test_block_lift_with_ramification():
     assert [c % 81 for c in prod] == [c % 81 for c in f]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13])
+def test_lift_blocks_at_any_precision(m):
+    """Lifted blocks are monic, reduce to the given blocks mod p, and multiply
+    to f mod p^m, whether or not m is a power of two."""
+    rng = random.Random(m)
+    checked = 0
+    while checked < 20:
+        p = rng.choice([2, 3, 5, 7, 13])
+        f = [rng.randint(-50, 50) for _ in range(rng.randint(2, 8))] + [1]
+        blocks = []
+        for g, e in factor_poly_mod_p(f, p):
+            block = [1]
+            for _ in range(e):
+                block = pmul(block, g, p)
+            blocks.append(block)
+        if len(blocks) < 2:
+            continue
+        q = p ** m
+        lifted = lift_blocks(f, blocks, p, m)
+        assert len(lifted) == len(blocks)
+        prod = [1]
+        for block, lift in zip(blocks, lifted):
+            assert len(lift) == len(block) and lift[-1] == 1
+            assert all(0 <= c < q for c in lift)
+            assert pnormalize(lift, p) == block
+            prod = _mul_int(prod, lift)
+        assert [c % q for c in prod] == [c % q for c in f]
+        checked += 1
+
+
 @pytest.mark.parametrize("m", [3 ** 5, 7 ** 3])
 def test_kernel_composite_modulus_matches_integer_reference(m):
     """add, sub and mul mod any m, and division by a divisor whose leading

@@ -24,12 +24,72 @@ from normforge.numberfield import (
     uniformizer,
     valuation,
 )
-from normforge.polyq import UniPoly
+from normforge.polyq import UniPoly, resultant
 
 Q = NumberField.rationals()
 K3 = NumberField(UniPoly([1, 1, 1]), name="Q(zeta3)")
 GOLDEN = NumberField(UniPoly([-1, -1, 1]), name="Q(sqrt5)")
 SQRT2 = NumberField(UniPoly([-2, 0, 1]), name="Q(sqrt2)")
+
+
+def _seeded_fields(rng):
+    """One random monic irreducible field of each degree 1..10."""
+    fields = []
+    for deg in range(1, 11):
+        while True:
+            try:
+                fields.append(NumberField(UniPoly([rng.randint(-6, 6) for _ in range(deg)] + [1])))
+                break
+            except NormforgeError:
+                continue
+    return fields
+
+
+def _ref_inverse(a, f):
+    """s with s * a == 1 mod f, by the extended Euclidean algorithm over Q."""
+    r0, r1 = f, a
+    s0, s1 = UniPoly.zero(), UniPoly.one()
+    while r1.degree:  # invariant: s_i * a == r_i mod f
+        quo, rem = r0.divmod(r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - quo * s1
+    return s1.scale(1 / r1.coeffs[0]) % f
+
+
+def _coords(poly, n):
+    return list(poly.coeffs) + [Fraction(0)] * (n - len(poly.coeffs))
+
+
+def test_element_arithmetic_matches_unipoly_reference():
+    rng = random.Random(2024)
+    for field in _seeded_fields(rng):
+        f, n = field.poly, field.degree
+        for _ in range(6):
+            a = [Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 7, 12])) for _ in range(n)]
+            b = [Fraction(rng.randint(-30, 30), rng.choice([1, 5, 9])) for _ in range(n)]
+            A, B = UniPoly(a), UniPoly(b)
+            x, y = field.element(a), field.element(b)
+            assert (x * y).coords == _coords(A * B % f, n)
+            if x.is_zero():
+                continue
+            inv = _ref_inverse(A, f)
+            assert x.inverse().coords == _coords(inv, n)
+            assert (y / x).coords == _coords(B * inv % f, n)
+            assert (x ** 3).coords == _coords(A ** 3 % f, n)
+            assert (x ** -2).coords == _coords(inv * inv % f, n)
+            assert x.norm() == resultant(f, A)
+
+
+def test_inverse_of_zero_and_of_zero_divisors_raises():
+    for field in (Q, K3, NumberField.cyclotomic(7)):
+        with pytest.raises(ZeroDivisionError):
+            field.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            field.one() / field.zero()
+    # theta - 1 is a zero divisor in Q[x]/(x^2 - 1)
+    split = NumberField(UniPoly([-1, 0, 1]), check_irreducible=False)
+    with pytest.raises(NormforgeError):
+        (split.gen() - split.one()).inverse()
 
 
 def test_splitting_worked_examples():

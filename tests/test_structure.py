@@ -3,8 +3,10 @@
 import ast
 import importlib.util
 import pathlib
+import re
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "normforge"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _is_module(name):
@@ -53,3 +55,43 @@ def test_no_module_assigns_to_an_imported_module():
         offenders += [f"{path.name}:{line}: {base}.{attr}"
                       for line, base, attr in _assigned_attributes(tree) if base in modules]
     assert offenders == []
+
+
+def _definitions(tree):
+    """(line, qualified name, name) of every function, method and class."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield child.lineno, prefix + child.name, child.name
+                yield from walk(child, prefix + child.name + ".")
+            else:
+                yield from walk(child, prefix)
+
+    return walk(tree, "")
+
+
+def _mentioned_names(tree):
+    """Identifiers a tree reads: names, attributes and words inside strings.
+    Imports and definitions bind names without reading them, so they do not
+    count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_definition_is_used():
+    # a function, method or class that nothing names is dead code
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    mentioned = set().union(*map(_mentioned_names, trees.values()))
+    unused = [f"{path.name}:{line}: {qualname}"
+              for path, tree in trees.items() if path.parent == PACKAGE
+              for line, qualname, name in _definitions(tree)
+              if not (name.startswith("__") and name.endswith("__")) and name not in mentioned]
+    assert unused == []
