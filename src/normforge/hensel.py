@@ -21,7 +21,6 @@ from .modp import (
     factor_poly_mod_p,
     padd,
     pdivmod,
-    pgcd,
     pgcd_ext,
     pmul,
     pnormalize,
@@ -61,14 +60,13 @@ def lift_blocks(f, blocks, p, m):
     """Lift a pairwise-coprime monic factorization of monic f to mod p^m.
 
     `blocks` are monic mod-p polynomials with product f mod p.  Returns the
-    lifted blocks in the same order.
+    lifted blocks in the same order.  Each split checks that the first block
+    is coprime to the product of the rest, which over F_p[x] is the same as
+    pairwise coprimality; NotSquarefreeAtP is raised otherwise.
     """
     f = [c % p ** m for c in f]
     if len(blocks) == 1:
         return [pnormalize(f, p ** m)]
-    for a_i, b_i in _pairs(blocks):
-        if len(pgcd(a_i, b_i, p)) != 1:
-            raise NotSquarefreeAtP("blocks are not pairwise coprime mod p")
     # split recursively: first block against product of the rest
     first = blocks[0]
     rest = blocks[1][:]
@@ -76,12 +74,6 @@ def lift_blocks(f, blocks, p, m):
         rest = pmul(rest, b, p)
     g, h = lift_pair_to(f, first, rest, p, m)
     return [g] + lift_blocks(h, blocks[1:], p, m)
-
-
-def _pairs(items):
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            yield items[i], items[j]
 
 
 def hensel_lift_factorization(f, p, m):

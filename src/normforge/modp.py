@@ -1,20 +1,33 @@
 """Dense polynomial arithmetic mod m, and factorization over F_p.
 
-Polynomials are plain lists of ints in [0, m), ascending degree, trailing
-zeros stripped.  This is the one mod-m polynomial kernel of the package:
-F_p arithmetic here, and Z/p^k arithmetic for Hensel lifting and local
-blocks elsewhere.  The modulus contract:
+Polynomials are plain lists of ints, ascending degree.  This is the one mod-m
+polynomial kernel of the package: F_p arithmetic here, and Z/p^k arithmetic
+for Hensel lifting and local blocks elsewhere.  The modulus contract:
 
+* inputs may have any int coefficients, unreduced or negative; outputs have
+  coefficients in [0, m) and no trailing zeros;
 * padd, psub and pmul take any modulus m >= 2;
-* pdivmod (and pmod) need a leading coefficient of the divisor that is
-  invertible mod m, so over Z/p^k the divisor must be monic (or have a unit
-  leading coefficient);
+* pdivmod and pmod take any m >= 2 when the leading coefficient of the
+  divisor is a unit mod m, so over Z/p^k the divisor must be monic (or have
+  a unit leading coefficient); otherwise they raise ValueError, as they do
+  for an unreduced divisor whose leading coefficient vanishes mod m;
 * pgcd, pgcd_ext, ppow_mod, the irreducibility test and factoring need m
   prime.
 
+Each output coefficient is reduced once.  Products are integer convolutions
+reduced at the end; division reduces only the leading coefficient at each
+step (it fixes the next quotient coefficient) and lets the others grow until
+the remainder is reduced once at the end.
+
 Factorization is squarefree decomposition, then distinct-degree splitting,
 then Cantor-Zassenhaus equal-degree splitting driven by a seeded
-deterministic generator so outputs are reproducible.
+deterministic generator so outputs are reproducible.  Distinct-degree
+splitting and Rabin's irreducibility test use the Frobenius matrix of f
+(von zur Gathen & Shoup, Comput. Complexity 2, 1992; von zur Gathen &
+Gerhard, Modern Computer Algebra, 14.2-14.3): h -> h^p is F_p-linear on
+F_p[x]/(f), so with the rows x^(i*p) mod f, built once from x^p by deg f - 2
+products, each step x^(p^d) -> x^(p^(d+1)) is one matrix-vector product
+instead of a powering by p.
 """
 
 import random
@@ -45,7 +58,8 @@ def psub(a, b, p):
     return trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
 
 
-def pmul(a, b, p):
+def _convolve(a, b):
+    """The integer product of a and b, unreduced and untrimmed."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -53,28 +67,45 @@ def pmul(a, b, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return pnormalize(out, p)
+    return out
+
+
+def pmul(a, b, p):
+    return pnormalize(_convolve(a, b), p)
 
 
 def pdivmod(a, b, p):
+    """(quotient, remainder) of a by b mod p."""
     if not b:
         raise ZeroDivisionError
-    a = pnormalize(a, p)
     inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        coef = a[-1] * inv % p
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * c) % p
-        a.pop()
-        trim(a)
-    return trim(q), a
+    n = len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - n)
+    for k in range(len(r) - 1, n - 1, -1):
+        coef = r[k] * inv % p
+        if coef:
+            s = k - n
+            q[s] = coef
+            for i in range(n):
+                r[s + i] -= coef * b[i]
+    return trim(q), pnormalize(r[:n], p)
 
 
 def pmod(a, b, p):
-    return pdivmod(a, b, p)[1]
+    """pdivmod(a, b, p)[1], without building the quotient."""
+    if not b:
+        raise ZeroDivisionError
+    inv = pow(b[-1], -1, p)
+    n = len(b) - 1
+    r = list(a)
+    for k in range(len(r) - 1, n - 1, -1):
+        coef = r[k] * inv % p
+        if coef:
+            s = k - n
+            for i in range(n):
+                r[s + i] -= coef * b[i]
+    return pnormalize(r[:n], p)
 
 
 def pmonic(a, p):
@@ -112,10 +143,30 @@ def ppow_mod(base, e, mod, p):
     base = pmod(base, mod, p)
     while e:
         if e & 1:
-            result = pmod(pmul(result, base, p), mod, p)
-        base = pmod(pmul(base, base, p), mod, p)
+            result = pmod(_convolve(result, base), mod, p)
         e >>= 1
+        if e:
+            base = pmod(_convolve(base, base), mod, p)
     return result
+
+
+def _frobenius_rows(f, p):
+    """Rows x^(i*p) mod f, i < deg f, for deg f >= 2: the matrix of h -> h^p."""
+    xp = ppow_mod([0, 1], p, f, p)
+    rows = [[1], xp]
+    for _ in range(len(f) - 3):
+        rows.append(pmod(_convolve(xp, rows[-1]), f, p))  # xp outer: a monomial when p < deg f
+    return rows
+
+
+def _frobenius(rows, h, p):
+    """h^p mod f for h reduced mod f, as the product of the rows with h."""
+    out = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for k, y in enumerate(row):
+                out[k] += c * y
+    return pnormalize(out, p)
 
 
 def pderiv(a, p):
@@ -123,19 +174,23 @@ def pderiv(a, p):
 
 
 def is_irreducible_mod_p(f, p):
-    """Rabin's irreducibility test (powmod/gcd only)."""
+    """Rabin's test: x^(p^n) = x mod f, and gcd(x^(p^(n/r)) - x, f) = 1 for
+    each prime r | n.  The powers x^(p^k) come from the Frobenius rows."""
     f = pmonic(pnormalize(f, p), p)
     n = len(f) - 1
     if n <= 0:
         return False
     if n == 1:
         return True
+    rows = _frobenius_rows(f, p)
+    checks = {n // r for r in factorint(n)}
     x = [0, 1]
-    for r in sorted(factorint(n)):
-        h = psub(ppow_mod(x, p ** (n // r), f, p), x, p)
-        if len(pgcd(h, f, p)) != 1:
+    h = x
+    for k in range(1, n + 1):
+        h = _frobenius(rows, h, p)
+        if k in checks and len(pgcd(psub(h, x, p), f, p)) != 1:
             return False
-    return psub(ppow_mod(x, p ** n, f, p), x, p) == []
+    return psub(h, x, p) == []
 
 
 def _squarefree_decomp(f, p):
@@ -170,19 +225,24 @@ def _squarefree_decomp(f, p):
 
 
 def distinct_degree(f, p):
-    """[(product of irreducibles of degree d, d)] for squarefree monic f."""
+    """[(product of irreducibles of degree d, d)] for squarefree monic f.
+
+    h runs through x^(p^d) mod the input f, one Frobenius product per step;
+    gcd(h - x, f) against the current cofactor f, which divides the input,
+    is the same as with h reduced mod f.
+    """
     out = []
     x = [0, 1]
     h = x
     d = 0
+    rows = _frobenius_rows(f, p) if len(f) > 2 else None
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = ppow_mod(h, p, f, p)
+        h = _frobenius(rows, h, p)
         g = pgcd(psub(h, x, p), f, p)
         if len(g) > 1:
             out.append((g, d))
             f = pdivmod(f, g, p)[0]
-            h = pmod(h, f, p)
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -202,7 +262,7 @@ def _equal_degree_split(f, d, p, rng):
             t = list(a)
             acc = list(a)
             for _ in range(d - 1):
-                acc = pmod(pmul(acc, acc, p), f, p)
+                acc = pmod(_convolve(acc, acc), f, p)
                 t = padd(t, acc, p)
             g = pgcd(t, f, p)
         else:

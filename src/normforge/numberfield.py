@@ -634,14 +634,6 @@ class TowerEdge:
         self.upper = upper
         self.image = image
 
-    def push(self, elem):
-        """Image in the upper field of a lower-field element."""
-        elem = self.lower.element(elem)
-        acc = self.upper.zero()
-        for c in reversed(elem.coords):
-            acc = acc * self.image + self.upper.element(c)
-        return acc
-
     def relative_ef(self, P_lower):
         """[(P_upper, e_rel, f_rel)] for the upper primes matching P_lower.
 

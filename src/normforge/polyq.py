@@ -43,10 +43,6 @@ class UniPoly:
     def x(cls):
         return cls([0, 1])
 
-    @classmethod
-    def monomial(cls, coeff, power):
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""

@@ -428,13 +428,11 @@ def _check_fixorder_conclusions(report, spec, kind):
     q = spec.q
     field = spec.field
     checked_keys = ("c", "rhs", "x") if kind == "fixorder" else ("d", "a", "rhs")
-    interest = primes_of_interest(spec)
-    # mu_q is checked once, at the first prime that reaches the tower: a field
-    # without mu_q whose primes are all excluded passes
-    mu_q_checked = False
-    for P in interest:
+    # every conclusion is about the tower, which needs mu_q, even when all
+    # primes of interest turn out to be excluded
+    _require_mu_q(spec)
+    for P in primes_of_interest(spec):
         vx = valuation(field, P, spec.x)
-        vd = valuation(field, P, spec.second)
         if kind == "fixorder":
             if P.p == q:
                 report.add_conclusion(
@@ -447,14 +445,12 @@ def _check_fixorder_conclusions(report, spec, kind):
                 )
                 continue
         else:
+            vd = valuation(field, P, spec.second)
             if vd < 0 or vx < 0:
                 report.add_conclusion(
                     f"orders at ({P.p}, #{P.index})", "excluded", "pole of d or x, outside the statement"
                 )
                 continue
-        if not mu_q_checked:
-            _require_mu_q(spec)
-            mu_q_checked = True
         leaves = chain_layers(spec, P)
         report.local_trace[P] = leaves
         if any(leaf.indeterminate for leaf in leaves):

@@ -15,12 +15,17 @@ from normforge.errors import NormforgeError, NotSquarefreeAtP, ZeroResidue
 from normforge.finitefield import FiniteField, power_residue_test, power_test_in_extension
 from normforge.hensel import hensel_lift_factorization, lift_blocks
 from normforge.modp import (
+    distinct_degree,
     factor_poly_mod_p,
     is_irreducible_mod_p,
     padd,
     pdivmod,
+    pderiv,
+    pgcd,
+    pmod,
     pmul,
     pnormalize,
+    ppow_mod,
     psub,
 )
 from normforge.polyq import (
@@ -175,6 +180,15 @@ def test_block_lift_with_ramification():
     assert [c % 81 for c in prod] == [c % 81 for c in f]
 
 
+def test_lift_blocks_rejects_blocks_sharing_a_factor():
+    # blocks 2 and 3 share x + 2 mod 5; block 1 is coprime to both, so only
+    # the split of the remaining two blocks can notice
+    blocks = [[1, 1], _mul_int([2, 1], [3, 1]), _mul_int([2, 1], [4, 1])]
+    f = _mul_int(_mul_int(blocks[0], blocks[1]), blocks[2])
+    with pytest.raises(NotSquarefreeAtP):
+        lift_blocks(f, blocks, 5, 3)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13])
 def test_lift_blocks_at_any_precision(m):
     """Lifted blocks are monic, reduce to the given blocks mod p, and multiply
@@ -235,6 +249,129 @@ def test_kernel_composite_modulus_matches_integer_reference(m):
         assert quo == reduced(quo) and rem == reduced(rem)
         back = zip_with(int.__add__, _mul_int(quo, b) if quo else [], rem)
         assert reduced(zip_with(int.__sub__, back, a)) == []
+
+
+def _ref_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_divmod(a, b, m):
+    """Schoolbook division that reduces every coefficient at every step."""
+    a = _ref_trim([c % m for c in a])
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        coef = a[-1] * inv % m
+        shift = len(a) - len(b)
+        q[shift] = coef
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - coef * c) % m
+        a.pop()
+        _ref_trim(a)
+    return _ref_trim(q), a
+
+
+def _ref_mod(a, b, m):
+    return _ref_divmod(a, b, m)[1]
+
+
+def _ref_mul(a, b, m):
+    return _ref_trim([c % m for c in _mul_int(a, b)]) if a and b else []
+
+
+def _ref_gcd(a, b, p):
+    while b:
+        a, b = b, _ref_mod(a, b, p)
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else []
+
+
+def _ref_powmod(base, e, mod, p):
+    result = [1]
+    base = _ref_mod(base, mod, p)
+    while e:
+        if e & 1:
+            result = _ref_mod(_ref_mul(result, base, p), mod, p)
+        base = _ref_mod(_ref_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def _ref_distinct_degree(f, p):
+    """Distinct-degree factorization that powers h to h^p mod f each step."""
+    out, x, h, d = [], [0, 1], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _ref_powmod(h, p, f, p)
+        g = _ref_gcd(psub(h, x, p), f, p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _ref_divmod(f, g, p)[0]
+            h = _ref_mod(h, f, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _ref_rabin(f, p):
+    f = _ref_trim([c % p for c in f])
+    if len(f) < 2:
+        return False
+    f = [c * pow(f[-1], -1, p) % p for c in f]
+    n = len(f) - 1
+    if n == 1:
+        return True
+    for r in (r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))):
+        if len(_ref_gcd(psub(_ref_powmod([0, 1], p ** (n // r), f, p), [0, 1], p), f, p)) != 1:
+            return False
+    return psub(_ref_powmod([0, 1], p ** n, f, p), [0, 1], p) == []
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 29, 101, 10007])
+def test_kernel_matches_per_step_reference(p):
+    """Division, remainder, gcd, powering, distinct-degree splitting and
+    Rabin's test agree with per-step-reduced references on unreduced and
+    negative inputs, short dividends, constant divisors and, for division,
+    the modulus p^k with a monic divisor."""
+    rng = random.Random(p)
+
+    def poly(deg, lead=None):
+        coeffs = [rng.randint(-3 * p, 3 * p) for _ in range(deg)]
+        return coeffs + [rng.randint(-3 * p, 3 * p) if lead is None else lead]
+
+    squarefree = irreducible = 0
+    for _ in range(40):
+        deg = rng.randint(1, 12)
+        lead = rng.choice([1, -1, p + 1, 2 * p - 1, p])  # p: not a unit, division raises
+        b = poly(rng.choice([0, rng.randint(1, deg)]), lead=lead)
+        for a in (poly(deg), poly(rng.randint(0, len(b) - 1)), []):
+            assert _outcome(pdivmod, a, b, p) == _outcome(_ref_divmod, a, b, p)
+            assert _outcome(pmod, a, b, p) == _outcome(_ref_mod, a, b, p)
+            assert _outcome(pgcd, a, b, p) == _outcome(_ref_gcd, a, b, p)
+            q = p ** rng.randint(2, 4)
+            monic = b[:-1] + [1]
+            assert _outcome(pmod, a, [], q) == ZeroDivisionError
+            assert pdivmod(a, monic, q) == _ref_divmod(a, monic, q)
+            assert pmod(a, monic, q) == _ref_mod(a, monic, q)
+        base, e = poly(deg), rng.choice([0, 1, 2, p - 1, p, rng.randrange(p ** 3)])
+        assert _outcome(ppow_mod, base, e, b, p) == _outcome(_ref_powmod, base, e, b, p)
+        f = poly(deg, lead=rng.choice([1, p + 1, -1, 2]))
+        verdict = is_irreducible_mod_p(f, p)
+        assert verdict == _ref_rabin(f, p)
+        irreducible += verdict
+        monic = pnormalize(f[:-1], p) + [1]
+        if len(pgcd(monic, pderiv(monic, p), p)) == 1:
+            assert distinct_degree(monic, p) == _ref_distinct_degree(monic, p)
+            squarefree += 1
+    assert squarefree >= 10 and irreducible >= 5
 
 
 def test_power_residue_worked_examples():

@@ -61,6 +61,15 @@ def test_fixorder_checks_mu_q_once(monkeypatch):
     assert calls == [3]
 
 
+def test_fixorder_without_mu_q_raises_even_when_every_prime_is_excluded():
+    # over Q with q = 3, the primes of interest are 2, 3 and 7: 3 divides q and
+    # x = 1/14 has a pole at 2 and at 7, so every prime is excluded, and the
+    # field still lacks a primitive cube root of unity
+    spec = RadicalTowerSpec(Q, 3, XBC, Fraction(1, 14), Fraction(1, 14), Fraction(2, 7))
+    with pytest.raises(MissingRootOfUnity):
+        verify_proposition("fixorder", spec)
+
+
 def test_build_tower_fixture_splits():
     P7a, P7b = splitting_type(K3, 7)
     leaves = build_tower(FIXTURE, primes=[P7a, P7b])

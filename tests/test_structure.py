@@ -70,17 +70,30 @@ def _definitions(tree):
     return walk(tree, "")
 
 
+def _docstrings(tree):
+    """The docstring nodes: the first statement of a module, class or
+    function, when it is a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                yield first.value
+
+
 def _mentioned_names(tree):
-    """Identifiers a tree reads: names, attributes and words inside strings.
-    Imports and definitions bind names without reading them, so they do not
-    count."""
+    """Identifiers a tree reads: names, attributes and words inside strings
+    other than docstrings.  Imports and definitions bind names without
+    reading them, and prose mentions nothing, so they do not count."""
+    docstrings = set(_docstrings(tree))
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node not in docstrings):
             names.update(re.findall(r"\w+", node.value))
     return names
 
