@@ -27,18 +27,36 @@ def _emit(report, out_path=None):
         print(text)
 
 
-def _field_from_args(args):
+def _field(poly):
+    """The number field of a decoded JSON coefficient list, ascending."""
     from .numberfield import NumberField
     from .polyq import UniPoly
 
-    poly = UniPoly.from_json(json.loads(args.poly))
-    return NumberField(poly)
+    return NumberField(UniPoly.from_json(poly))
+
+
+def _spec_elements(field, data):
+    """(variant, elements) of a tower spec or norm-equation instance: the
+    (x, b, c) coordinate lists, or (x, d, a) unless the variant is XBC."""
+    variant = data.get("variant", "XBC")
+    names = ("x", "b", "c") if variant == "XBC" else ("x", "d", "a")
+    return variant, [field.element([Fraction(str(v)) for v in data[name]]) for name in names]
+
+
+def _curve_and_point(args):
+    """The curve of --curve and the point of --point on it."""
+    from .elliptic import EllipticCurve
+
+    curve = json.loads(args.curve)
+    E = EllipticCurve(Fraction(str(curve["a"])), Fraction(str(curve["c"])))
+    pt = json.loads(args.point)
+    return E, E.point(Fraction(str(pt["x"])), Fraction(str(pt["y"])))
 
 
 def cmd_field_factor(args):
     from .numberfield import splitting_type
 
-    field = _field_from_args(args)
+    field = _field(json.loads(args.poly))
     primes = splitting_type(field, args.p)
     _emit(
         {
@@ -100,17 +118,12 @@ def _parse_element(field, text):
 
 def cmd_verify_prop(args):
     from .numberfield import splitting_type
-    from .radical import RadicalTowerSpec, XBC, verify_proposition
+    from .radical import RadicalTowerSpec, verify_proposition
 
     with open(args.spec) as fh:
         data = json.load(fh)
-    from .numberfield import NumberField
-    from .polyq import UniPoly
-
-    field = NumberField(UniPoly.from_json(data["field"]["poly"]))
-    variant = data.get("variant", XBC)
-    names = ("x", "b", "c") if variant == XBC else ("x", "d", "a")
-    elems = [field.element([Fraction(str(v)) for v in data[name]]) for name in names]
+    field = _field(data["field"]["poly"])
+    variant, elems = _spec_elements(field, data)
     spec = RadicalTowerSpec(field, data["q"], variant, *elems,
                             nonsplit_certificate=data.get("nonsplit_certificate"))
     target = None
@@ -124,15 +137,11 @@ def cmd_verify_prop(args):
 
 def cmd_normeq_analyze(args):
     from .normeq import NormEquationInstance, analyze
-    from .numberfield import NumberField
-    from .polyq import UniPoly
 
     with open(args.instance) as fh:
         data = json.load(fh)
-    field = NumberField(UniPoly.from_json(data["field"]["poly"]))
-    variant = data.get("variant", "XBC")
-    names = ("x", "b", "c") if variant == "XBC" else ("x", "d", "a")
-    elems = [field.element([Fraction(str(v)) for v in data[name]]) for name in names]
+    field = _field(data["field"]["poly"])
+    variant, elems = _spec_elements(field, data)
     inst = NormEquationInstance(field, data["q"], *elems, variant=variant,
                                 nonsplit_certificate=data.get("nonsplit_certificate"))
     verdict, ledger = analyze(inst)
@@ -151,10 +160,9 @@ def cmd_normeq_analyze(args):
 def cmd_normeq_battery(args):
     from .normeq import integrality_battery
     from .numberfield import NumberField
-    from .polyq import UniPoly
 
     if args.field:
-        field = NumberField(UniPoly.from_json(json.loads(args.field)))
+        field = _field(json.loads(args.field))
     else:
         field = NumberField.rationals()
     x = _parse_element(field, args.x)
@@ -166,12 +174,7 @@ def cmd_normeq_battery(args):
 def cmd_compile(args):
     from .compiler import compile_definition
 
-    field = None
-    if args.field:
-        from .numberfield import NumberField
-        from .polyq import UniPoly
-
-        field = NumberField(UniPoly.from_json(json.loads(args.field)))
+    field = _field(json.loads(args.field)) if args.field else None
     ast = compile_definition(args.variant, args.q, field=field)
     _emit({"command": "compile", "ast": ast.to_json()}, args.out)
     return 0
@@ -187,12 +190,9 @@ def cmd_cyclic_construct(args):
 
 
 def cmd_ec_mul(args):
-    from .elliptic import EllipticCurve, multiply_point
+    from .elliptic import multiply_point
 
-    curve = json.loads(args.curve)
-    E = EllipticCurve(Fraction(str(curve["a"])), Fraction(str(curve["c"])))
-    pt = json.loads(args.point)
-    P = E.point(Fraction(str(pt["x"])), Fraction(str(pt["y"])))
+    E, P = _curve_and_point(args)
     R = multiply_point(E, P, args.n)
     _emit({"command": "ec mul", "curve": E.to_json(), "n": args.n, "result": R.to_json()},
           args.out)
@@ -200,16 +200,9 @@ def cmd_ec_mul(args):
 
 
 def cmd_ec_lemmas(args):
-    from .elliptic import (
-        EllipticCurve,
-        denominator_divisibility_search,
-        find_equiv_m,
-    )
+    from .elliptic import denominator_divisibility_search, find_equiv_m
 
-    curve = json.loads(args.curve)
-    E = EllipticCurve(Fraction(str(curve["a"])), Fraction(str(curve["c"])))
-    pt = json.loads(args.point)
-    P = E.point(Fraction(str(pt["x"])), Fraction(str(pt["y"])))
+    E, P = _curve_and_point(args)
     k = denominator_divisibility_search(E, P, args.A, args.m, k_max=args.bound)
     m_found = find_equiv_m(E, P, m_max=args.bound)
     _emit(

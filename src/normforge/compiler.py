@@ -370,9 +370,10 @@ def _embed_relation(num, old_vars, new_index, n_new, deg):
     return coeffs
 
 
-def descend_cyclotomic(system, layer_vars, q, layer_name="xi-layer"):
+def descend_cyclotomic(system, layer_vars, q):
     """Descent through the degree-(q-1) cyclotomic layer: Phi_q(Gamma) = 0."""
     deg = q - 1
+    layer_name = "xi-layer"
     old_vars = system.variables
     out, expanded, new_index, n_keep = _child_registry(system, layer_vars, (), deg, layer_name)
     n_new = out.n
@@ -431,7 +432,7 @@ class FormulaAST:
         }
 
 
-def build_descended_system(q, include_xi_layer=None):
+def build_descended_system(q):
     """The fully descended norm system for the three-layer tower over Q.
 
     Layers (innermost first): the norm polynomial in U-variables over L,
@@ -439,8 +440,6 @@ def build_descended_system(q, include_xi_layer=None):
     Gamma1^q = 1 + 1/X, then the cyclotomic layer when xi_q is not already
     rational (q > 2).
     """
-    if include_xi_layer is None:
-        include_xi_layer = q > 2
     N, sys0 = coordinate_norm_poly(
         q,
         PolynomialSystem([f"U{i}" for i in range(1, q + 1)] + ["C", "Z", "X", "B"],
@@ -474,7 +473,7 @@ def build_descended_system(q, include_xi_layer=None):
     s = descend_layer(s, layer_vars, s.var("X") + MultiPoly.const(s.n, 1), s.var("X"), q,
                       "layer1 1/x")
     layer_vars = [v for v in s.variables if s.provenance[v] == "layer1 1/x"]
-    if include_xi_layer:
+    if q > 2:
         s = descend_cyclotomic(s, layer_vars, q)
     return s
 

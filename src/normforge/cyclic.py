@@ -194,7 +194,7 @@ def compositum_degree_data(G, H):
     whose period polynomial has a root in G (H cyclic, so one subfield per
     divisor of the degree).
     """
-    from .kpoly import roots_in_field
+    from .kpoly import has_root_in_field
 
     d = H.degree
     if d == 1:
@@ -204,7 +204,7 @@ def compositum_degree_data(G, H):
         if G.degree % dprime != 0:
             continue
         sub = gaussian_period_subfield(H.ell, dprime)
-        if roots_in_field(G, sub.period_poly):
+        if has_root_in_field(G, sub.period_poly):
             d_int = dprime
             break
     rel = d // d_int

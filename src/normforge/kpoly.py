@@ -1,116 +1,25 @@
-"""Polynomials with coefficients in a number field, and Trager factoring.
+"""Whether a rational polynomial has a root in a number field K = Q(theta).
 
-Just enough K[y] arithmetic to factor rational polynomials over K: monic
-Euclidean division, gcd, and the norm-based Trager loop.  The norm
-N_s(y) = Res_x(f(x), h(y - s*x)) is computed by evaluation at deg+1 rational
-points followed by exact Lagrange interpolation, which avoids bivariate
-resultant code entirely.
+The test rests on Trager's correspondence (Trager, "Algebraic factoring and
+rational function integration", SYMSAC 1976; Cohen, GTM 138, section 3.6).
+Let f be the defining polynomial of K, n = [K:Q], and h in Q[y] squarefree.
+For a shift s with
+
+    N_s(y) = Res_x(f(x), h(y - s*x))
+
+squarefree, the irreducible factors of h over K match the irreducible
+factors of N_s over Q one to one, a factor of degree k matching one of
+degree k*n.  So h has a root in K exactly when N_s has a factor over Q of
+degree n, and no arithmetic in K[y] is needed.  N_s is computed by
+evaluation at n*deg(h) + 1 rational points followed by exact Lagrange
+interpolation, which avoids bivariate resultant code entirely.
 """
 
 from fractions import Fraction
 
 from .errors import NormforgeError
-from .polyq import UniPoly, poly_gcd, squarefree_part
+from .polyq import UniPoly, cyclotomic_poly, poly_gcd, resultant, squarefree_part
 from .zfactor import factor_over_q
-
-
-class KPoly:
-    """Polynomial in y over a NumberField, coefficients ascending."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        cs = [field.element(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def from_qpoly(cls, field, poly):
-        return cls(field, [c for c in poly.coeffs])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        inv = self.coeffs[-1].inverse()
-        return KPoly(self.field, [c * inv for c in self.coeffs])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = self.coeffs + [z] * (n - len(self.coeffs))
-        b = other.coeffs + [z] * (n - len(other.coeffs))
-        return KPoly(self.field, [x - y for x, y in zip(a, b)])
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return KPoly(self.field, [])
-        z = self.field.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return KPoly(self.field, out)
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        z = self.field.zero()
-        quo = [z] * max(0, len(rem) - len(other.coeffs) + 1)
-        lc_inv = other.coeffs[-1].inverse()
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if len(rem) - 1 < d or not rem:
-                break
-            factor = rem[-1] * lc_inv
-            shift = len(rem) - 1 - d
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * c
-            rem.pop()
-        while rem and rem[-1].is_zero():
-            rem.pop()
-        return KPoly(self.field, quo), KPoly(self.field, rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def shift_by(self, mult):
-        """self(y + mult) for a field element mult (Horner)."""
-        out = KPoly(self.field, [])
-        ymul = KPoly(self.field, [mult, self.field.one()])
-        for c in reversed(self.coeffs):
-            out = out * ymul + KPoly(self.field, [c])
-        return out
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = self.coeffs + [z] * (n - len(self.coeffs))
-        b = other.coeffs + [z] * (n - len(other.coeffs))
-        return KPoly(self.field, [x + y for x, y in zip(a, b)])
-
-    def __repr__(self):
-        return f"KPoly(deg={self.degree} over {self.field.name})"
-
-
-def kpoly_gcd(a, b):
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
 
 
 def _lagrange_interpolate(points):
@@ -132,8 +41,6 @@ def _lagrange_interpolate(points):
 
 def norm_poly(field, h, s):
     """N_s(y) = Res_x(f(x), h(y - s*x)) by evaluation and interpolation."""
-    from .polyq import resultant
-
     n = field.degree
     d = h.degree
     deg = n * d
@@ -146,61 +53,29 @@ def norm_poly(field, h, s):
     return _lagrange_interpolate(pts)
 
 
-def factor_over_k(field, h):
-    """Monic irreducible factors over K of a squarefree rational polynomial."""
+def has_root_in_field(field, h):
+    """True iff the squarefree rational polynomial h has a root in the field."""
     h = h.monic()
     if h.degree == 0:
-        return []
-    if field.degree == 1:
-        _, facs = factor_over_q(h)
-        return [KPoly.from_qpoly(field, g) for g, _ in facs]
-    g = poly_gcd(h, h.derivative())
-    if g.degree and g.degree > 0:
-        raise NormforgeError("factor_over_k expects a squarefree input")
+        return False
+    if poly_gcd(h, h.derivative()).degree > 0:
+        raise NormforgeError("has_root_in_field expects a squarefree input")
     for s in range(0, 32):
         N = norm_poly(field, h, s)
         if N.is_zero():
             continue
-        Nsf = squarefree_part(N)
-        if Nsf.degree == N.degree:
+        if squarefree_part(N).degree == N.degree:
             break
     else:
         raise NormforgeError("no squarefree norm shift found")
     _, nfactors = factor_over_q(N)
-    hk = KPoly.from_qpoly(field, h)
-    out = []
-    theta = field.gen()
-    for Ni, _ in nfactors:
-        shifted = KPoly.from_qpoly(field, Ni).shift_by(theta * s)
-        gi = kpoly_gcd(hk, shifted)
-        if gi.degree and gi.degree >= 1:
-            out.append(gi)
-    total = sum(gi.degree for gi in out)
-    assert total == h.degree, "Trager factorization lost degrees"
-    return out
-
-
-def roots_in_field(field, h):
-    """Roots of a rational polynomial that lie in K (exact FieldElements)."""
-    h = h.monic()
-    sf = squarefree_part(h)
-    out = []
-    for g in factor_over_k(field, sf):
-        if g.degree == 1:
-            out.append(_root_of_linear(g))
-    return out
-
-
-def _root_of_linear(linear):
-    return (linear.coeffs[0] * linear.coeffs[1].inverse()) * (-1)
+    return any(Ni.degree == field.degree for Ni, _ in nfactors)
 
 
 def has_primitive_root_of_unity(field, q):
     """True iff the field contains a primitive q-th root of unity (q prime)."""
-    from .polyq import cyclotomic_poly
-
     if q == 2:
         return True
     if field.degree % (q - 1) != 0:
         return False
-    return bool(roots_in_field(field, cyclotomic_poly(q)))
+    return has_root_in_field(field, cyclotomic_poly(q))

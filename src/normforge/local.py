@@ -212,11 +212,6 @@ def radical_children(lp, u_key, q, u_minus_one_key=None, xi_q=True):
     return kids
 
 
-def extend_by_radical(lp, u_key, q, u_minus_one_key=None):
-    """The rule-table layer extension; requires xi_q in the base field."""
-    return radical_children(lp, u_key, q, u_minus_one_key=u_minus_one_key, xi_q=True)
-
-
 def q_divides_group(p, f, q):
     return (pow(p, f, q) - 1) % q == 0
 

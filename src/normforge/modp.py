@@ -275,7 +275,7 @@ def _equal_degree_split(f, d, p, rng):
             return left + right
 
 
-def factor_poly_mod_p(f, p, seed=DEFAULT_SEED):
+def factor_poly_mod_p(f, p):
     """Factor f over F_p: list of (monic irreducible, multiplicity).
 
     f can be given as an int-coefficient list or a UniPoly over Z; the list
@@ -290,7 +290,7 @@ def factor_poly_mod_p(f, p, seed=DEFAULT_SEED):
         raise NormforgeError("cannot factor the zero polynomial")
     if len(f) == 1:
         return []
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     out = []
     for g, mult in _squarefree_decomp(f, p):
         for h, d in distinct_degree(g, p):

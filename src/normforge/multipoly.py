@@ -168,7 +168,7 @@ class MultiPoly:
             vec[i] = e
         return vec
 
-    def to_json(self, names=None):
+    def to_json(self):
         """[[coefficient-string, dense exponent vector], ...] canonical order."""
         items = sorted(self.terms.items(), key=lambda kv: self.dense_exponents(kv[0]))
         return [[str(c), self.dense_exponents(k)] for k, c in items]

@@ -498,14 +498,14 @@ def _resultant_valuation(F, A, p, m):
     return valuation_int(exact, p)
 
 
-def residue_map(field, P, alpha, precision_pad=4):
+def residue_map(field, P, alpha):
     """Image of alpha in the residue field of P; requires v_P(alpha) = 0."""
     alpha = field.element(alpha)
     if alpha.is_zero():
         raise NotAUnit("zero has positive valuation")
     p = P.p
     A, s, d0 = _integral_rep(alpha, p)
-    m = max(2 * s + precision_pad, precision_pad)
+    m = 2 * s + 4
     q = p ** m
     blocks = local_blocks(field, p, m)
     B = pdivmod(A, blocks[P.index], q)[1]

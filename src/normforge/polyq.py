@@ -242,15 +242,6 @@ def resultant(f, g):
         a, b = b, r
 
 
-def discriminant(f):
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-    n = f.degree
-    if n is None or n < 1:
-        raise NormforgeError("discriminant needs degree >= 1")
-    sign = (-1) ** (n * (n - 1) // 2)
-    return sign * resultant(f, f.derivative()) / f.leading()
-
-
 def squarefree_part(f):
     """f / gcd(f, f'), monic."""
     g = poly_gcd(f, f.derivative())

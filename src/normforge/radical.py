@@ -33,7 +33,7 @@ from .errors import (
 )
 from .finitefield import power_residue_test
 from .kpoly import has_primitive_root_of_unity
-from .local import LocalPrime, extend_by_radical
+from .local import LocalPrime, radical_children
 from .numberfield import (
     element_support,
     residue_map,
@@ -165,7 +165,7 @@ def chain_layers(spec, P):
     """
     nodes = [start_node(spec, P)]
     for key in _LAYER_KEYS:
-        nodes = [child for node in nodes for child in extend_by_radical(node, key, spec.q, u_minus_one_key=key + "m1")]
+        nodes = [child for node in nodes for child in radical_children(node, key, spec.q, u_minus_one_key=key + "m1")]
     return nodes
 
 

@@ -11,7 +11,6 @@ from normforge.local import (
     LocalVerdict,
     archimedean_check,
     conservation_total,
-    extend_by_radical,
     hilbert_symbol,
     local_norm_solvable,
     radical_children,
@@ -28,7 +27,7 @@ def test_rule_ramified():
     # p = 7, v(u) = 1, q = 3: one child with e tripled (total tame ramification)
     lp = make_lp(7)
     lp.track("u", 1, FiniteField(7).element(3))
-    kids = extend_by_radical(lp, "u", 3)
+    kids = radical_children(lp, "u", 3)
     assert len(kids) == 1 and kids[0].e == 3 and kids[0].f == 1
     assert conservation_total(kids, lp) == 3
 
@@ -38,7 +37,7 @@ def test_rule_inert():
     assert sorted({pow(a, 3, 7) for a in range(1, 7)}) == [1, 6]
     lp = make_lp(7)
     lp.track("u", 0, FiniteField(7).element(5))
-    kids = extend_by_radical(lp, "u", 3)
+    kids = radical_children(lp, "u", 3)
     assert len(kids) == 1 and kids[0].f == 3 and kids[0].e == 1
     assert conservation_total(kids, lp) == 3
 
@@ -46,7 +45,7 @@ def test_rule_inert():
 def test_rule_split():
     lp = make_lp(7)
     lp.track("u", 0, FiniteField(7).element(6))  # 6 = 3^3 mod 7
-    kids = extend_by_radical(lp, "u", 3)
+    kids = radical_children(lp, "u", 3)
     assert len(kids) == 3 and all(k.e == 1 and k.f == 1 for k in kids)
     assert conservation_total(kids, lp) == 3
 
@@ -56,7 +55,7 @@ def test_rule_guard_split():
     lp = make_lp(2)
     lp.track("u", 0, None)
     lp.track("um1", 4)
-    kids = extend_by_radical(lp, "u", 2, u_minus_one_key="um1")
+    kids = radical_children(lp, "u", 2, u_minus_one_key="um1")
     assert len(kids) == 2 and all(k.e == 1 and k.f == 1 for k in kids)
 
 
@@ -64,14 +63,14 @@ def test_rule_wild_indeterminate():
     lp = make_lp(3)
     lp.track("u", 0, None)
     lp.track("um1", 1)
-    kids = extend_by_radical(lp, "u", 3, u_minus_one_key="um1")
+    kids = radical_children(lp, "u", 3, u_minus_one_key="um1")
     assert len(kids) == 1 and kids[0].indeterminate
 
 
 def test_missing_trace():
     lp = make_lp(7)
     with pytest.raises(MissingTrace):
-        extend_by_radical(lp, "ghost", 3)
+        radical_children(lp, "ghost", 3)
 
 
 def test_radical_children_without_xi():

@@ -156,7 +156,7 @@ def test_badprimeq_three_adic_fixture():
 def test_layer_order_insensitive_at_unramified_primes():
     # permuting r1 and r2 must not change the final (e, f) multiset at primes
     # where both chains stay unramified
-    from normforge.local import extend_by_radical
+    from normforge.local import radical_children
     from normforge.radical import start_node
 
     P41 = splitting_type(K3, 41)[0]
@@ -166,7 +166,7 @@ def test_layer_order_insensitive_at_unramified_primes():
     for order in orders:
         nodes = [node.child()]
         for key in order:
-            nodes = [kid for n in nodes for kid in extend_by_radical(n, key, 3, u_minus_one_key=key + "m1")]
+            nodes = [kid for n in nodes for kid in radical_children(n, key, 3, u_minus_one_key=key + "m1")]
         multisets.append(sorted((n.e, n.f) for n in nodes))
     assert multisets[0] == multisets[1]
 
