@@ -91,6 +91,13 @@ def test_descend_example_c_as_gamma_square():
         got = [eq.evaluate([vals[v] for v in child.variables]) for eq in child.equations]
         # reassembled: sum_i N_i gamma^i = parent value = 0
         assert abs(got[0] + got[1] * gamma) < 1e-6
+    # the exact output: U1,0^2 + 3 U1,1^2 - 3 U2,0^2 - 9 U2,1^2 - Z and 2 U1,0 U1,1 - 6 U2,0 U2,1
+    assert [sorted(eq.terms.items()) for eq in child.equations] == [
+        [(((0, 1),), -1), (((1, 2),), 1), (((2, 2),), 3), (((3, 2),), -3), (((4, 2),), -9)],
+        [(((1, 1), (2, 1)), 2), (((3, 1), (4, 1)), -6)],
+    ]
+    assert [t["origin"] for t in child.trace if t["kind"] == "equation"] == [
+        "norm", "test-layer: eq 0 Gamma^0 (den^0, x1)", "test-layer: eq 0 Gamma^1 (den^0, x1)"]
 
 
 def _assemble(child, layer_name, gamma, assignment, parent_vars):
@@ -237,18 +244,22 @@ def test_multipoly_from_json_accumulates_like_init():
     assert MultiPoly.from_json(2, [["1/2", [0, 1]], ["-1/2", [0, 1]]]).is_zero()
 
 
-# word-size primes: every residue mod P_CUBE has one cube root, Phi_3 has roots mod P_XI
-P_CUBE, P_XI = 1000000007, 1000000009
+# word-size primes: every residue mod P_CUBE has one cube root and P_CUBE = 3 mod 4,
+# Phi_3 has roots mod P_XI and Phi_5 has roots mod P_QUINTIC
+P_CUBE, P_XI, P_QUINTIC = 1000000007, 1000000009, 1000000021
 _ORIGIN = re.compile(r": eq (\d+) Gamma\^(\d+)(?: \(den\^(\d+), x(\d+)\))?$")
 
 
 def _eval_mod(poly, values, p):
+    powers = {}
     acc = 0
     for key, c in poly.terms.items():
-        term = c
-        for i, e in key:
-            term = term * pow(values[i], e, p) % p
-        acc += term
+        for ie in key:
+            v = powers.get(ie)
+            if v is None:
+                v = powers[ie] = pow(values[ie[0]], ie[1], p)
+            c = c * v % p
+        acc += c
     return acc % p
 
 
@@ -257,18 +268,21 @@ def _canonical_digest(system):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _check_reassembly(parent, child, layer_vars, deg, num, den, seed):
+def _check_reassembly(parent, child, layer_vars, deg, num, den, seed, substitute=None):
     """sum_k E_k Gamma^k / mult_k == E * den^power mod p at a seeded point.
 
-    num/den is Gamma^deg for a radical layer; num is None for Phi_3.
+    num/den is Gamma^deg for a radical layer of degree 2 or 3; num is None for
+    the cyclotomic layer Phi_(deg+1)(Gamma) = 0.  A substituted variable takes
+    the value Gamma^power.  Returns the child equations' values at the point.
     """
-    p = P_XI if num is None else P_CUBE
+    cyclotomic = num is None
+    p = {2: P_XI, 4: P_QUINTIC}[deg] if cyclotomic else P_CUBE
     rng = random.Random(seed)
     while True:
         cvals = {v: rng.randrange(1, p) for v in child.variables}
         pvals = [cvals.get(v, 0) for v in parent.variables]
-        if num is None:
-            gamma, d = pow(rng.randrange(2, p), (p - 1) // 3, p), 1
+        if cyclotomic:
+            gamma, d = pow(rng.randrange(2, p), (p - 1) // (deg + 1), p), 1
             if gamma == 1:
                 continue
         else:
@@ -276,34 +290,50 @@ def _check_reassembly(parent, child, layer_vars, deg, num, den, seed):
             if d == 0:
                 continue
             ratio = _eval_mod(num, pvals, p) * pow(d, -1, p) % p
-            gamma = pow(ratio, (2 * p - 1) // 3, p)
-            assert pow(gamma, 3, p) == ratio
+            if deg == 3:
+                gamma = pow(ratio, (2 * p - 1) // 3, p)
+            elif pow(ratio, (p - 1) // 2, p) != 1:
+                continue
+            else:
+                gamma = pow(ratio, (p + 1) // 4, p)
+            assert pow(gamma, deg, p) == ratio
         break
     for v in layer_vars:
         pvals[parent.variables.index(v)] = sum(
             cvals[f"{v},{j}"] * pow(gamma, j, p) for j in range(deg)) % p
+    for v, power in (substitute or {}).items():
+        pvals[parent.variables.index(v)] = pow(gamma, power, p)
     cvec = [cvals[v] for v in child.variables]
     origins = [t["origin"] for t in child.trace if t["kind"] == "equation"]
     origins = origins[-len(child.equations):]
     assert len(child.equations) == deg * len(parent.equations)
     sums = [0] * len(parent.equations)
     powers = [0] * len(parent.equations)
+    values = []
     for eq, origin in zip(child.equations, origins):
         i, k, power, mult = _ORIGIN.search(origin).groups()
         i = int(i)
         powers[i] = int(power or 0)
-        value = _eval_mod(eq, cvec, p) * pow(int(mult or 1), -1, p)
-        sums[i] = (sums[i] + value * pow(gamma, int(k), p)) % p
+        values.append(_eval_mod(eq, cvec, p))
+        sums[i] = (sums[i] + values[-1] * pow(int(mult or 1), -1, p) * pow(gamma, int(k), p)) % p
     for i, eq in enumerate(parent.equations):
         assert sums[i] == _eval_mod(eq, pvals, p) * pow(d, powers[i], p) % p
+    return values
+
+
+def _value_digest(system, values):
+    """Pins a system too large to serialise: term counts and values mod p."""
+    text = json.dumps([[len(eq.terms), v] for eq, v in zip(system.equations, values)])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_q3_descent_exact_mod_p():
-    """The q = 3 tower down to layer2 and its cyclotomic layer, checked exactly.
+    """The q = 3 tower down to layer1, and the cyclotomic layer of layer2, checked exactly.
 
     Layer3 and layer2 have denominators in the kept variables (C X and
     B X^3 + B^3), which the constant-relation tests above never exercise.
-    The digests pin the canonical JSON of the outputs.
+    The digests pin the canonical JSON of the outputs; layer1 is pinned by
+    its origins, its term counts and its values at the reassembly point.
     """
     assert _canonical_digest(build_descended_system(2)) == "c80f29cb11669134"
     q = 3
@@ -334,3 +364,102 @@ def test_q3_descent_exact_mod_p():
     xi = descend_cyclotomic(layer2, vars2, q)
     _check_reassembly(layer2, xi, vars2, q - 1, None, None, seed=33)
     assert sum(len(eq.terms) for eq in xi.equations) == 129050
+    del xi
+
+    den1 = layer2.var("X")
+    num1 = den1 + MultiPoly.const(layer2.n, 1)
+    layer1 = descend_layer(layer2, vars2, num1, den1, q, "layer1 1/x")
+    values = _check_reassembly(layer2, layer1, vars2, q, num1, den1, seed=34)
+    powers = [2] * 9  # total degree 3 in the layer2 coordinates: 3 - 1
+    assert [t["origin"] for t in layer1.trace if t["kind"] == "equation"][-27:] == [
+        f"layer1 1/x: eq {i} Gamma^{k} (den^{powers[i]}, x1)" for i in range(9) for k in range(3)]
+    assert [t["denominator_power"] for t in layer1.trace
+            if t["kind"] == "descent" and t["layer"] == "layer1 1/x"] == powers
+    terms = [len(eq.terms) for eq in layer1.equations]
+    assert terms == [35267, 28770, 23016, 30576, 25545, 20436, 25872, 21615, 17292,
+                     25830, 21525, 17220, 22932, 19110, 15288, 19404, 16170, 12936,
+                     18450, 15375, 12300, 16380, 13650, 10920, 13860, 11550, 9240]
+    assert sum(terms) == 520529
+    assert _value_digest(layer1, values) == "7380fb63ae1515d4"
+
+
+def _random_poly(rng, n, exponent_bounds, size):
+    """size seeded terms, coefficients in [-4, 4] \\ {0}, exponents in bounds."""
+    terms = {}
+    for _ in range(size):
+        key = tuple((i, e) for i, bound in exponent_bounds
+                    for e in [rng.randint(0, bound)] if e)
+        terms[key] = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    return MultiPoly(n, terms)
+
+
+# (seed, degree, relation, substitute power): radical layers with a polynomial
+# denominator ("den"), a denominator of one ("one") or the cyclotomic layer
+# Phi_(degree+1) ("phi"); the substituted variable S becomes Gamma^power
+RANDOM_DESCENTS = {
+    "D2-den": (101, 2, "den", None),
+    "D3-den": (102, 3, "den", None),
+    "D2-one": (103, 2, "one", None),
+    "D3-one": (104, 3, "one", None),
+    "phi5": (105, 4, "phi", None),
+    "phi3": (106, 2, "phi", None),
+    "D2-den-substitute": (107, 2, "den", 3),
+    "D3-den-substitute": (108, 3, "den", 2),
+    "D3-one-substitute": (109, 3, "one", 4),
+}
+
+# (denominator powers, canonical digest) of each case's output, pinned
+RANDOM_DESCENT_PINS = {
+    "D2-den": ([4, 2, 2, 0], "6ba448c9be4fb378"),
+    "D3-den": ([4, 4, 2, 0], "f7fa737e77614ba2"),
+    "D2-one": ([0, 0, 0, 0], "a1a50d56b0addb43"),
+    "D3-one": ([0, 0, 0, 0], "0089b441e626d96d"),
+    "phi5": ([0, 0, 0, 0], "2396181b1bae0116"),
+    "phi3": ([0, 0, 0, 0], "7f5ba7f34b26bebf"),
+    "D2-den-substitute": ([4, 6, 7, 1], "19d035e750465ca2"),
+    "D3-den-substitute": ([4, 3, 5, 0], "f47cf550b4726094"),
+    "D3-one-substitute": ([0, 0, 0, 0], "38645347824f7cef"),
+}
+
+
+def _random_descent(case):
+    """(parent, child, check_reassembly arguments) of one seeded case."""
+    seed, deg, relation, power = RANDOM_DESCENTS[case]
+    rng = random.Random(seed)
+    parent = PolynomialSystem(["A", "K1", "B", "S", "K2"])
+    n = parent.n
+    bounds = [(0, 3), (1, 2), (2, 2), (3, 2), (4, 1)]
+    for i in range(3):
+        eq = _random_poly(rng, n, bounds, rng.randint(4, 8))
+        if i == 0:
+            eq = eq + MultiPoly(n, {((0, 3), (2, 2)): 1})
+        parent.add_equation(eq, origin=f"random {i}")
+    parent.add_equation(_random_poly(rng, n, [(1, 2), (3, 1)], 3), origin="no layer variable")
+    layer_vars = ["B", "A"]
+    substitute = {"S": power} if power else None
+    if relation == "phi":
+        num = den = None
+        child = descend_cyclotomic(parent, layer_vars, deg + 1)
+    else:
+        num = _random_poly(rng, n, [(1, 2), (4, 2)], 3)
+        den = (_random_poly(rng, n, [(1, 1), (4, 2)], 2) if relation == "den"
+               else MultiPoly.const(n, 1))
+        child = descend_layer(parent, layer_vars, num, den, deg, "random-layer", substitute)
+    return parent, child, (layer_vars, deg, num, den, seed, substitute)
+
+
+@pytest.mark.parametrize("case", sorted(RANDOM_DESCENTS))
+def test_random_descent_reassembles(case):
+    """Seeded systems in the shapes the q = 3 tower never reaches.
+
+    The layer variables A and B carry exponents up to 3 and 2, kept variables
+    sit between them in the registry, and the layer lists them in the reverse
+    order.  Each descent reassembles mod p, and its output is pinned.
+    """
+    parent, child, args = _random_descent(case)
+    layer_vars, deg, _, _, _, substitute = args
+    kept = ["K1", "K2"] if substitute else ["K1", "S", "K2"]
+    assert child.variables == kept + [f"{v},{j}" for v in layer_vars for j in range(deg)]
+    _check_reassembly(parent, child, *args)
+    powers = [t["denominator_power"] for t in child.trace if t["kind"] == "descent"]
+    assert (powers, _canonical_digest(child)) == RANDOM_DESCENT_PINS[case]
