@@ -5,21 +5,37 @@ multiplication-by-(sum U_i theta^(i-1)) matrix in Z[C][theta]/(theta^q - C),
 minus Z; its coefficients depend on q alone.  Layer descent rewrites each
 equation over the field below: every upper variable u becomes
 sum_j u_j Gamma^j, powers of Gamma reduce through the layer relation
-Gamma^q = g (a ratio of polynomials in the lower variables), denominators
-are cleared by a recorded power, and the Gamma^0..Gamma^(q-1) coefficients
-become q separate equations.  Nothing is simplified beyond collecting like
-terms, so each equation's provenance stays one-to-one with the rewriting.
+Gamma^D = num/den (a ratio of polynomials in the lower variables),
+denominators are cleared by a recorded power, and the Gamma^0..Gamma^(D-1)
+coefficients become D separate equations.  Nothing is simplified beyond
+collecting like terms, so each equation's provenance stays one-to-one with
+the rewriting.
+
+The rewriting is in closed form.  A monomial prod u_a^(e_a) expands to a
+multinomial sum of coordinate monomials, each with a Gamma degree s, and a
+fixed table reduces Gamma^s: in a radical layer to Gamma^(s mod D) times
+num^t den^(M - t), t = s // D (num^t when den = 1); in the cyclotomic layer
+Phi_q(Gamma) = 0 to Gamma^(s mod q), with Gamma^(q-1) = -sum_(g < q-1) Gamma^g.
+The recorded power M of an equation is the largest that multiplying each
+monomial's Gamma values left to right would clear, one den per product that
+reaches Gamma^D: n - 1 for a monomial of total degree n >= 1 in the layer
+variables when D >= 2.  A variable substituted by Gamma^power adds
+power * e to s; its square-and-multiply powers are followed through their
+Gamma-degree supports.
 
 compile_definition assembles the full two-universal-quantifier shapes, with
 the membership predicates attached as named atoms (the four-squares atom for
 the real-place condition is an explicit polynomial).
 """
 
-from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, repeat
+from math import factorial, prod
+from operator import add, mul
 
 from .errors import DegenerateLayer, IncompleteAssignment, NormforgeError, SearchExhausted
-from .multipoly import MultiPoly, _merge_keys, determinant
+from .multipoly import MultiPoly, determinant
 
 VARIANTS = ("eqA", "eqB", "eqC", "diffversion1", "diffversion2", "diffversion3")
 
@@ -99,90 +115,131 @@ def coordinate_norm_poly(q, system=None):
     return N, system
 
 
-class GammaPoly:
-    """sum_i coeff_i Gamma^i over a modulus Gamma^D = (sum m_i Gamma^i)/den.
+class _GammaTable:
+    """Gamma^s in the basis Gamma^0..Gamma^(D-1) of one layer, as a fixed table.
 
-    den_power tracks how many times the denominator has been cleared; the
-    represented value is (sum coeff_i Gamma^i) / den^den_power.
+    A radical layer Gamma^D = num/den gives Gamma^s = Gamma^(s mod D) (num/den)^t
+    with t = s // D, so once den^M is cleared the coefficient is
+    num^t den^(M - t).  The cyclotomic layer Phi_q(Gamma) = 0, D = q - 1, gives
+    Gamma^s = Gamma^(s mod q) and Gamma^(q-1) = -sum_(g < q-1) Gamma^g, with
+    num = den = 1.
     """
 
-    def __init__(self, layer, coeffs, den_power=0):
-        self.layer = layer  # _LayerRelation
-        self.coeffs = list(coeffs)
-        D = layer.degree
-        assert len(self.coeffs) == D
-        self.den_power = den_power
+    def __init__(self, degree, num, den, cyclotomic=False):
+        self.degree = degree
+        self.cyclotomic = cyclotomic
+        self.clears_den = not cyclotomic and den != MultiPoly.const(den.n, 1)
+        self.num_is_zero = num.is_zero()
+        one = MultiPoly.const(num.n, 1)
+        self._powers = {"num": [one, num], "den": [one, den]}
 
-    @classmethod
-    def const(cls, layer, poly):
-        return cls(layer, [poly] + [layer.zero] * (layer.degree - 1))
+    def reduce(self, s):
+        """[(g, t, sign)] with Gamma^s = sum sign Gamma^g (num/den)^t."""
+        D = self.degree
+        if not self.cyclotomic:
+            return ((s % D, s // D, 1),)
+        g = s % (D + 1)
+        return ((g, 0, 1),) if g < D else tuple((h, 0, -1) for h in range(D))
 
-    def __mul__(self, other):
-        D = self.layer.degree
-        conv = [self.layer.zero for _ in range(2 * D - 1)]
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y.is_zero():
-                    continue
-                conv[i + j] = conv[i + j] + x * y
-        den_power = self.den_power + other.den_power
-        if any(not conv[k].is_zero() for k in range(D, len(conv))):
-            if self.layer.den_is_one:
-                # denominator-free modulus (cyclotomic): loop reduction rounds
-                while len(conv) > D:
-                    top = conv.pop()
-                    if top.is_zero():
-                        continue
-                    k = len(conv)
-                    for i, m in enumerate(self.layer.modulus):
-                        if not m.is_zero():
-                            conv[k - D + i] = conv[k - D + i] + top * m
-            else:
-                # radical modulus concentrated at Gamma^0: one round suffices
-                low = [c * self.layer.den for c in conv[:D]]
-                for k in range(D, len(conv)):
-                    if conv[k].is_zero():
-                        continue
-                    for i, m in enumerate(self.layer.modulus):
-                        if m.is_zero():
-                            continue
-                        idx = k - D + i
-                        assert idx < D, "radical modulus must sit at Gamma^0"
-                        low[idx] = low[idx] + conv[k] * m
-                den_power += 1
-                conv = low
-        conv = conv[:D]
-        return GammaPoly(self.layer, conv, den_power)
+    def base(self, t, M):
+        """num^t den^(M - t), or num^t when den is one."""
+        if not self.clears_den:
+            return self._power("num", t)
+        return self._power("num", t) * self._power("den", M - t)
 
-    def __pow__(self, k):
-        out = GammaPoly.const(self.layer, self.layer.one)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+    def _power(self, which, k):
+        powers = self._powers[which]
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
+
+    def times(self, a, b):
+        """(den power, Gamma-degree support) of the product of two values.
+
+        A product that reaches Gamma^D is reduced in one round, which clears
+        den once more; with num = 0 the reduced terms vanish.
+        """
+        D = self.degree
+        conv = {i + j for i in a[1] for j in b[1]}
+        if all(k < D for k in conv):
+            return a[0] + b[0], conv
+        return a[0] + b[0] + 1, {k % D for k in conv if k < D or not self.num_is_zero}
+
+
+class _Expansion:
+    """The Gamma values of the monomials in the layer and substituted variables.
+
+    A layer variable is u = sum_j u_j Gamma^j in its coordinates, so u^e is a
+    multinomial sum over the index multisets of size e, and a monomial is the
+    product of its variables' sums.  A substituted variable is Gamma^power: it
+    adds power*e to the Gamma degree and no coordinate.  Each term is
+    (coordinate key, multinomial coefficient, Gamma degree s).
+    """
+
+    def __init__(self, table, system, expanded, substitute, new_index):
+        self.table = table
+        old_vars = system.variables
+        # old index -> coordinate indices, ascending; old index -> Gamma power
+        self.coords = {i: [new_index[c] for c in expanded[v]]
+                       for i, v in enumerate(old_vars) if v in expanded}
+        self.substitute = {i: substitute[v] for i, v in enumerate(old_vars) if v in substitute}
+        # (old index, e) -> (new index, e) of the kept variables: one object per
+        # pair, shared by every output key that holds it
+        self.kept = {p: (new_index[old_vars[p[0]]], p[1])
+                     for eq in system.equations for key in eq.terms for p in key
+                     if old_vars[p[0]] in new_index}
+        self.n = len(new_index)
+        # Gamma = Gamma^1 is stored at index min(1, D - 1), so at D = 1 it is 1
+        self.unit = min(1, table.degree - 1)
+        self._parts = {}
+
+    def terms(self, ukey):
+        out = [((), 1, 0)]
+        # coordinate blocks follow the layer's variable order, not ukey's
+        for vi, e in sorted(ukey, key=lambda ve: self.coords.get(ve[0], (-1,))[0]):
+            part = self._parts.get((vi, e))
+            if part is None:
+                part = self._parts[vi, e] = self._power_terms(vi, e)
+            out = [(k1 + k2, m1 * m2, s1 + s2) for k1, m1, s1 in out for k2, m2, s2 in part]
         return out
 
+    def _power_terms(self, vi, e):
+        if vi in self.substitute:
+            return [((), 1, self.substitute[vi] * e * self.unit)]
+        coords = self.coords[vi]
+        out = []
+        for combo in combinations_with_replacement(range(len(coords)), e):
+            counts = Counter(combo)  # ascending indices, as combo is sorted
+            mult = factorial(e) // prod(map(factorial, counts.values()))
+            out.append((tuple((coords[j], k) for j, k in counts.items()), mult, sum(combo)))
+        return out
 
-class _LayerRelation:
-    """Gamma^degree = (sum modulus_i Gamma^i) / den, all over the new space."""
+    def den_power(self, ukey):
+        """The power of den that evaluating ukey left to right clears.
 
-    def __init__(self, degree, modulus, den, n):
-        self.degree = degree
-        self.modulus = modulus  # list of MultiPoly, length degree
-        self.den = den
-        self.den_is_one = den == MultiPoly.const(n, 1)
-        self.zero = MultiPoly.const(n, 0)
-        self.one = MultiPoly.const(n, 1)
-        self._den_powers = {0: self.one, 1: den}
-
-    def den_power(self, k):
-        if k not in self._den_powers:
-            self._den_powers[k] = self.den_power(k - 1) * self.den
-        return self._den_powers[k]
+        That product multiplies the values of ukey's variables in index order,
+        each power built as u^(e-1) u and Gamma^power by square-and-multiply.
+        Whether a product reaches Gamma^D depends only on the Gamma-degree
+        supports, so they stand in for the values.  With D >= 2, a monomial of
+        total degree n >= 1 in layer variables alone records n - 1.
+        """
+        times = self.table.times
+        acc = (0, {0})
+        for vi, e in ukey:
+            if vi in self.substitute:
+                one, base, k = (0, {0}), (0, {self.unit}), self.substitute[vi]
+                while k:
+                    if k & 1:
+                        one = times(one, base)
+                    base = times(base, base)
+                    k >>= 1
+            else:
+                one = (0, set(range(self.table.degree)))
+            value = one
+            for _ in range(e - 1):
+                value = times(value, one)
+            acc = times(acc, value)
+        return acc[0]
 
 
 def _child_registry(system, layer_vars, dropped, deg, layer_name):
@@ -191,8 +248,7 @@ def _child_registry(system, layer_vars, dropped, deg, layer_name):
     The registry lists the kept variables first, in their old order, then deg
     coordinates "v,j" per layer variable v; variables in `dropped` vanish.
     _rewrite_equation relies on this order: every kept index is below every
-    coordinate index.  Returns (child, {v: coordinate names}, name -> index,
-    index of the first coordinate).
+    coordinate index.  Returns (child, {v: coordinate names}, name -> index).
     """
     keep = [v for v in system.variables if v not in layer_vars and v not in dropped]
     names = list(keep)
@@ -206,7 +262,57 @@ def _child_registry(system, layer_vars, dropped, deg, layer_name):
         expanded[v] = coords
     child = PolynomialSystem(names, prov)
     child.trace = list(system.trace)
-    return child, expanded, {name: i for i, name in enumerate(names)}, len(keep)
+    return child, expanded, {name: i for i, name in enumerate(names)}
+
+
+def _rewrite_equation(eq, expansion):
+    """(Gamma^0..Gamma^(D-1) coefficients, den power) of eq, each term written once.
+
+    The terms of eq are grouped by their monomial in the layer and substituted
+    variables (ukey); the rest is a scalar polynomial in the kept variables.
+    A coordinate term of ukey with Gamma degree s contributes
+    scalar * multinomial * num^t den^(M - t) at Gamma^(s mod D), M being the
+    largest den power of the equation's ukeys.  The product scalar *
+    num^t den^(M - t) is formed once per ukey and t, and each of its terms
+    gives the output key head + tail, because every kept index lies below
+    every coordinate index.  Distinct ukeys in the layer variables have
+    disjoint coordinate keys, so each output key is written once; only
+    substituted variables, which add no coordinate, make keys collide, and
+    then the collisions are summed.
+    """
+    table, kept, n_new = expansion.table, expansion.kept, expansion.n
+    groups = {}
+    for key, coeff in eq.terms.items():
+        ukey = tuple(p for p in key if p not in kept)
+        # kept variables keep their relative order, so this key is sorted
+        groups.setdefault(ukey, {})[tuple(kept[p] for p in key if p in kept)] = coeff
+    M = max(map(expansion.den_power, groups), default=0) if table.clears_den else 0
+    collide = bool(expansion.substitute)
+    out = [{} for _ in range(table.degree)]
+    for ukey, scalar_terms in groups.items():
+        scalar = MultiPoly(n_new)
+        scalar.terms = scalar_terms
+        heads = {}
+        for tail, mult, s in expansion.terms(ukey):
+            for g, t, sign in table.reduce(s):
+                head = heads.get(t)
+                if head is None:
+                    head = heads[t] = (scalar * table.base(t, M)).terms
+                f = sign * mult
+                dest = out[g]
+                if collide:
+                    for k, c in head.items():
+                        k += tail
+                        dest[k] = dest.get(k, 0) + c * f
+                else:
+                    dest.update(zip(map(add, head, repeat(tail)),
+                                    map(mul, head.values(), repeat(f))))
+    polys = []
+    for dest in out:
+        poly = MultiPoly(n_new)
+        poly.terms = {k: c for k, c in dest.items() if c} if collide else dest
+        polys.append(poly)
+    return polys, M
 
 
 def descend_layer(system, layer_vars, relation_num, relation_den, deg, layer_name,
@@ -228,128 +334,26 @@ def descend_layer(system, layer_vars, relation_num, relation_den, deg, layer_nam
     if relation_den.is_zero():
         raise DegenerateLayer("layer denominator is identically zero")
     old_vars = system.variables
-    out, expanded, new_index, n_keep = _child_registry(system, layer_vars, substitute, deg,
-                                                       layer_name)
+    out, expanded, new_index = _child_registry(system, layer_vars, substitute, deg, layer_name)
     n_new = out.n
-
-    relation = _LayerRelation(
-        deg,
-        _embed_relation(relation_num, old_vars, new_index, n_new, deg),
-        _embed_poly(relation_den, old_vars, new_index, n_new),
-        n_new,
-    )
-
-    def gamma_value(var_name):
-        if var_name in expanded:
-            coeffs = [MultiPoly.var(n_new, new_index[c]) for c in expanded[var_name]]
-            return GammaPoly(relation, coeffs)
-        if var_name in substitute:
-            power = substitute[var_name]
-            unit = [relation.zero] * deg
-            unit[min(1, deg - 1)] = relation.one
-            return GammaPoly(relation, unit) ** power
-        coeffs = [MultiPoly.var(n_new, new_index[var_name])] + [relation.zero] * (deg - 1)
-        return GammaPoly(relation, coeffs)
-
-    special = {i for i, v in enumerate(old_vars) if v in expanded or v in substitute}
+    num = _embed_poly(relation_num, old_vars, new_index, n_new)
+    den = _embed_poly(relation_den, old_vars, new_index, n_new)
+    table = _GammaTable(deg, num, den)
+    expansion = _Expansion(table, system, expanded, substitute, new_index)
     for eq_idx, eq in enumerate(system.equations):
-        acc = _rewrite_equation(eq, relation, old_vars, new_index, n_keep, special, gamma_value)
-        for gdeg, coeff_poly in enumerate(acc.coeffs):
+        coeffs, power = _rewrite_equation(eq, expansion)
+        for gdeg, coeff_poly in enumerate(coeffs):
             intpoly, mult = coeff_poly.integerized()
             out.add_equation(
                 intpoly,
-                origin=f"{layer_name}: eq {eq_idx} Gamma^{gdeg} (den^{acc.den_power}, x{mult})",
+                origin=f"{layer_name}: eq {eq_idx} Gamma^{gdeg} (den^{power}, x{mult})",
             )
-        out.trace.append(
-            {
-                "kind": "descent",
-                "layer": layer_name,
-                "source_equation": eq_idx,
-                "denominator_power": acc.den_power,
-            }
-        )
+        out.trace.append({"kind": "descent", "layer": layer_name, "source_equation": eq_idx,
+                          "denominator_power": power})
     for iq in system.inequations:
         out.inequations.append(_embed_poly(iq, old_vars, new_index, n_new))
-    out.add_inequation(_embed_poly(relation_den, old_vars, new_index, n_new),
-                       origin=f"{layer_name}: cleared denominator must not vanish")
+    out.add_inequation(den, origin=f"{layer_name}: cleared denominator must not vanish")
     return out
-
-
-def _rewrite_equation(eq, relation, old_vars, new_index, n_keep, special, gamma_value):
-    """Evaluate eq in the Gamma presentation, batched for speed.
-
-    Each term of eq splits into a monomial in the expanded variables, whose
-    Gamma value is computed once per distinct monomial, and a scalar: the
-    coefficient times a kept-variable monomial.  Every Gamma value is brought
-    to the equation's largest denominator power up front, and the terms of
-    each of its Gamma coefficients are grouped by their kept part (the
-    variables below n_keep).  A scalar times a group then has keys made of
-    the merged kept parts, memoised per pair, followed by the coordinate part
-    unchanged, because every kept index lies below every coordinate index.
-    """
-    var_cache = {}
-
-    def value_of(idx, power):
-        key = (idx, power)
-        if key not in var_cache:
-            if power == 1:
-                var_cache[key] = gamma_value(old_vars[idx])
-            else:
-                var_cache[key] = value_of(idx, power - 1) * value_of(idx, 1)
-        return var_cache[key]
-
-    products = {(): GammaPoly.const(relation, relation.one)}
-
-    def product(ukey):
-        # always left to right: the denominator powers recorded depend on the order
-        gp = products.get(ukey)
-        if gp is None:
-            gp = products[ukey] = product(ukey[:-1]) * value_of(*ukey[-1])
-        return gp
-
-    split = []  # (expanded-variable monomial, scalar key, coefficient) per term
-    for key, coeff in eq.terms.items():
-        ukey = tuple((vi, e) for vi, e in key if vi in special)
-        # kept variables keep their relative order, so this key is sorted
-        scal_key = tuple((new_index[old_vars[vi]], e) for vi, e in key if vi not in special)
-        split.append((ukey, scal_key, coeff))
-    values = {ukey: product(ukey) for ukey, _, _ in split}
-    den_power = max((gp.den_power for gp in values.values()), default=0)
-    grouped = {}
-    for ukey, gp in values.items():
-        lift = den_power - gp.den_power
-        coeffs = [c * relation.den_power(lift) for c in gp.coeffs] if lift else gp.coeffs
-        grouped[ukey] = [_group_by_kept(c, n_keep) for c in coeffs]
-
-    merged = {}  # (scalar key, kept part) -> merged kept key
-    # per Gamma degree: {kept key: {coordinate key: coefficient}}
-    acc = [{} for _ in range(relation.degree)]
-    for ukey, scal_key, coeff in split:
-        for nested, groups in zip(acc, grouped[ukey]):
-            for kept, tail in groups:
-                head = merged.get((scal_key, kept))
-                if head is None:
-                    head = merged[scal_key, kept] = _merge_keys(scal_key, kept)
-                sub = nested.get(head)
-                if sub is None:
-                    sub = nested[head] = {}
-                for k2, c2 in tail:
-                    sub[k2] = sub.get(k2, 0) + coeff * c2
-    coeffs_out = []
-    for nested in acc:
-        poly = MultiPoly(relation.one.n)
-        poly.terms = {head + k2: c for head, sub in nested.items() for k2, c in sub.items() if c}
-        coeffs_out.append(poly)
-    return GammaPoly(relation, coeffs_out, den_power)
-
-
-def _group_by_kept(poly, n_keep):
-    """[(kept part, [(coordinate part, coeff), ...]), ...] of poly's terms."""
-    groups = {}
-    for key, c in poly.terms.items():
-        cut = bisect_left(key, (n_keep,))
-        groups.setdefault(key[:cut], []).append((key[cut:], c))
-    return list(groups.items())
 
 
 def _embed_poly(poly, old_vars, new_index, n_new):
@@ -364,39 +368,24 @@ def _embed_poly(poly, old_vars, new_index, n_new):
     return poly.extended(n_new, index_map)
 
 
-def _embed_relation(num, old_vars, new_index, n_new, deg):
-    coeffs = [MultiPoly.const(n_new, 0) for _ in range(deg)]
-    coeffs[0] = _embed_poly(num, old_vars, new_index, n_new)
-    return coeffs
-
-
 def descend_cyclotomic(system, layer_vars, q):
     """Descent through the degree-(q-1) cyclotomic layer: Phi_q(Gamma) = 0."""
     deg = q - 1
     layer_name = "xi-layer"
-    old_vars = system.variables
-    out, expanded, new_index, n_keep = _child_registry(system, layer_vars, (), deg, layer_name)
-    n_new = out.n
-    minus_one = MultiPoly.const(n_new, -1)
-    relation = _LayerRelation(deg, [minus_one for _ in range(deg)], MultiPoly.const(n_new, 1), n_new)
-
-    def gamma_value(var_name):
-        if var_name in expanded:
-            return GammaPoly(relation,
-                             [MultiPoly.var(n_new, new_index[c]) for c in expanded[var_name]])
-        return GammaPoly.const(relation, MultiPoly.var(n_new, new_index[var_name]))
-
-    special = {i for i, v in enumerate(old_vars) if v in expanded}
+    out, expanded, new_index = _child_registry(system, layer_vars, (), deg, layer_name)
+    one = MultiPoly.const(out.n, 1)
+    expansion = _Expansion(_GammaTable(deg, one, one, cyclotomic=True), system, expanded, {},
+                           new_index)
     for eq_idx, eq in enumerate(system.equations):
-        acc = _rewrite_equation(eq, relation, old_vars, new_index, n_keep, special, gamma_value)
-        assert acc.den_power == 0
-        for gdeg, coeff_poly in enumerate(acc.coeffs):
+        coeffs, power = _rewrite_equation(eq, expansion)
+        assert power == 0
+        for gdeg, coeff_poly in enumerate(coeffs):
             intpoly, _ = coeff_poly.integerized()
             out.add_equation(intpoly, origin=f"{layer_name}: eq {eq_idx} Gamma^{gdeg}")
         out.trace.append({"kind": "descent", "layer": layer_name, "source_equation": eq_idx,
                           "denominator_power": 0})
     for iq in system.inequations:
-        out.inequations.append(_embed_poly(iq, old_vars, new_index, n_new))
+        out.inequations.append(_embed_poly(iq, system.variables, new_index, out.n))
     return out
 
 

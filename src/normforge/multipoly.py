@@ -23,10 +23,22 @@ def _merge_keys(e1, e2):
         return e1 + e2
     if e2[-1][0] < e1[0][0]:
         return e2 + e1
-    combined = dict(e1)
-    for i, e in e2:
-        combined[i] = combined.get(i, 0) + e
-    return tuple(sorted(combined.items()))
+    # a sorted merge: pairs of one key only are reused, not rebuilt
+    out = []
+    i = j = 0
+    while i < len(e1) and j < len(e2):
+        a, b = e1[i], e2[j]
+        if a[0] < b[0]:
+            out.append(a)
+            i += 1
+        elif b[0] < a[0]:
+            out.append(b)
+            j += 1
+        else:
+            out.append((a[0], a[1] + b[1]))
+            i += 1
+            j += 1
+    return tuple(out) + e1[i:] + e2[j:]
 
 
 class MultiPoly:
@@ -152,7 +164,7 @@ class MultiPoly:
 
         An all-integer polynomial is returned as it is, not copied.
         """
-        if all(type(c) is int for c in self.terms.values()):
+        if set(map(type, self.terms.values())) <= {int}:
             return self, 1
         den = 1
         for c in self.terms.values():
