@@ -9,8 +9,10 @@ for Hensel lifting and local blocks elsewhere.  The modulus contract:
 * padd, psub and pmul take any modulus m >= 2;
 * pdivmod and pmod take any m >= 2 when the leading coefficient of the
   divisor is a unit mod m, so over Z/p^k the divisor must be monic (or have
-  a unit leading coefficient); otherwise they raise ValueError, as they do
-  for an unreduced divisor whose leading coefficient vanishes mod m;
+  a unit leading coefficient); otherwise they raise ValueError.  Top
+  coefficients of the divisor that vanish mod m are trimmed first (only
+  when its last entry is not a unit, so the usual path pays nothing), and
+  a divisor that vanishes mod m raises ZeroDivisionError;
 * pgcd, pgcd_ext, ppow_mod, the irreducibility test and factoring need m
   prime.
 
@@ -74,11 +76,23 @@ def pmul(a, b, p):
     return pnormalize(_convolve(a, b), p)
 
 
+def _trimmed_divisor(b, p):
+    """(b reduced mod p, the inverse of its leading coefficient), for a divisor
+    whose last entry is not a unit: a top that vanishes mod p is trimmed."""
+    b = pnormalize(b, p)
+    if not b:
+        raise ZeroDivisionError
+    return b, pow(b[-1], -1, p)
+
+
 def pdivmod(a, b, p):
     """(quotient, remainder) of a by b mod p."""
     if not b:
         raise ZeroDivisionError
-    inv = pow(b[-1], -1, p)
+    try:
+        inv = pow(b[-1], -1, p)
+    except ValueError:
+        b, inv = _trimmed_divisor(b, p)
     n = len(b) - 1
     r = list(a)
     q = [0] * max(0, len(r) - n)
@@ -96,7 +110,10 @@ def pmod(a, b, p):
     """pdivmod(a, b, p)[1], without building the quotient."""
     if not b:
         raise ZeroDivisionError
-    inv = pow(b[-1], -1, p)
+    try:
+        inv = pow(b[-1], -1, p)
+    except ValueError:
+        b, inv = _trimmed_divisor(b, p)
     n = len(b) - 1
     r = list(a)
     for k in range(len(r) - 1, n - 1, -1):
@@ -111,7 +128,13 @@ def pmod(a, b, p):
 def pmonic(a, p):
     if not a:
         return []
-    inv = pow(a[-1], -1, p)
+    try:
+        inv = pow(a[-1], -1, p)
+    except ValueError:
+        a = pnormalize(a, p)
+        if not a:
+            return []
+        inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
@@ -133,7 +156,10 @@ def pgcd_ext(a, b, p):
         t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
     if not r0:
         return [], s0, t0
-    inv = pow(r0[-1], -1, p)
+    try:
+        inv = pow(r0[-1], -1, p)
+    except ValueError:
+        r0, inv = _trimmed_divisor(r0, p)
     scale = lambda v: [c * inv % p for c in v]
     return pmonic(r0, p), scale(s0), scale(t0)
 

@@ -22,6 +22,7 @@ from normforge.modp import (
     pdivmod,
     pderiv,
     pgcd,
+    pgcd_ext,
     pmod,
     pmul,
     pnormalize,
@@ -260,6 +261,9 @@ def _ref_trim(a):
 def _ref_divmod(a, b, m):
     """Schoolbook division that reduces every coefficient at every step."""
     a = _ref_trim([c % m for c in a])
+    b = _ref_trim([c % m for c in b])
+    if not b:
+        raise ZeroDivisionError
     inv = pow(b[-1], -1, m)
     q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
@@ -284,6 +288,7 @@ def _ref_mul(a, b, m):
 def _ref_gcd(a, b, p):
     while b:
         a, b = b, _ref_mod(a, b, p)
+    a = _ref_trim([c % p for c in a])
     return [c * pow(a[-1], -1, p) % p for c in a] if a else []
 
 
@@ -350,7 +355,7 @@ def test_kernel_matches_per_step_reference(p):
     squarefree = irreducible = 0
     for _ in range(40):
         deg = rng.randint(1, 12)
-        lead = rng.choice([1, -1, p + 1, 2 * p - 1, p])  # p: not a unit, division raises
+        lead = rng.choice([1, -1, p + 1, 2 * p - 1, p])  # p: vanishes, division trims it
         b = poly(rng.choice([0, rng.randint(1, deg)]), lead=lead)
         for a in (poly(deg), poly(rng.randint(0, len(b) - 1)), []):
             assert _outcome(pdivmod, a, b, p) == _outcome(_ref_divmod, a, b, p)
@@ -372,6 +377,20 @@ def test_kernel_matches_per_step_reference(p):
             assert distinct_degree(monic, p) == _ref_distinct_degree(monic, p)
             squarefree += 1
     assert squarefree >= 10 and irreducible >= 5
+
+
+def test_divisor_whose_top_vanishes_mod_p_is_trimmed():
+    # [1, 5] is the constant 1 mod 5, so it divides everything
+    assert pgcd([1, 1], [1, 5], 5) == [1]
+    assert pdivmod([2, 3, 4], [1, 5], 5) == ([2, 3, 4], [])
+    assert pmod([2, 3, 4], [1, 5], 5) == []
+    assert pdivmod([2, 3, 4], [1, 1, 10, -5], 5) == ([4, 4], [3])  # by x + 1
+    assert pgcd_ext([1, 1], [1, 5], 5)[0] == [1]
+    for fn in (pdivmod, pmod):
+        with pytest.raises(ZeroDivisionError):
+            fn([1, 1], [5, 10], 5)
+    with pytest.raises(ValueError):
+        pmod([1, 1], [1, 3], 9)  # 3 is not a unit mod 9 and does not vanish
 
 
 def test_power_residue_worked_examples():
