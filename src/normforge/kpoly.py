@@ -23,20 +23,30 @@ from .zfactor import factor_over_q
 
 
 def _lagrange_interpolate(points):
-    """Exact UniPoly through [(x_i, y_i)] with distinct rational x_i."""
-    result = UniPoly.zero()
-    for i, (xi, yi) in enumerate(points):
+    """Exact UniPoly through [(x_i, y_i)] with distinct rational x_i.
+
+    Each basis numerator prod_(j != i) (y - x_j) is the master product
+    prod_j (y - x_j) divided by y - x_i, one synthetic division, so D points
+    cost O(D^2) rational operations.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    master = [Fraction(1)]  # ascending coefficients
+    for x in xs:
+        master = [a - x * b for a, b in zip([Fraction(0)] + master, master + [Fraction(0)])]
+    out = [Fraction(0)] * len(xs)
+    for i, (xi, (_, yi)) in enumerate(zip(xs, points)):
         if yi == 0:
             continue
-        num = UniPoly([yi])
         den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            num = num * UniPoly([-xj, 1])
-            den *= xi - xj
-        result = result + num.scale(1 / den)
-    return result
+        for j, xj in enumerate(xs):
+            if j != i:
+                den *= xi - xj
+        scale = yi / den
+        carry = Fraction(0)
+        for k in range(len(xs), 0, -1):  # quotient coefficients, top down
+            carry = master[k] + carry * xi
+            out[k - 1] += carry * scale
+    return UniPoly(out)
 
 
 def norm_poly(field, h, s):
@@ -60,7 +70,8 @@ def has_root_in_field(field, h):
         return False
     if poly_gcd(h, h.derivative()).degree > 0:
         raise NormforgeError("has_root_in_field expects a squarefree input")
-    for s in range(0, 32):
+    # N_0 = +-h^[K:Q] is squarefree only when K = Q
+    for s in range(0 if field.degree == 1 else 1, 32):
         N = norm_poly(field, h, s)
         if N.is_zero():
             continue
