@@ -82,29 +82,41 @@ def _docstrings(tree):
 
 
 def _mentioned_names(tree):
-    """Identifiers a tree reads: names, attributes and words inside strings
-    other than docstrings.  Imports and definitions bind names without
-    reading them, and prose mentions nothing, so they do not count."""
+    """(names, attributes) a tree reads.  Names are identifiers, attributes
+    of an imported module (module.name) and words inside strings other than
+    docstrings; attributes are those of any other object.  Imports and
+    definitions bind names without reading them, and prose mentions nothing,
+    so they do not count."""
     docstrings = set(_docstrings(tree))
-    names = set()
+    modules = _imported_modules(tree)
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+            (names if on_module else attributes).add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node not in docstrings):
             names.update(re.findall(r"\w+", node.value))
-    return names
+    return names, attributes
 
 
 def test_every_definition_is_used():
-    # a function, method or class that nothing names is dead code
+    # a function, method or class that nothing names is dead code; a
+    # module-level function is not used by an attribute of the same name
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))}
-    mentioned = set().union(*map(_mentioned_names, trees.values()))
-    unused = [f"{path.name}:{line}: {qualname}"
-              for path, tree in trees.items() if path.parent == PACKAGE
-              for line, qualname, name in _definitions(tree)
-              if not (name.startswith("__") and name.endswith("__")) and name not in mentioned]
+    mentions = [_mentioned_names(tree) for tree in trees.values()]
+    names = set().union(*(n for n, _ in mentions))
+    attributes = set().union(*(a for _, a in mentions))
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for line, qualname, name in _definitions(tree):
+            used = name in names or (qualname not in functions and name in attributes)
+            if not (used or name.startswith("__") and name.endswith("__")):
+                unused.append(f"{path.name}:{line}: {qualname}")
     assert unused == []
