@@ -454,12 +454,16 @@ def test_random_descent_reassembles(case):
 
     The layer variables A and B carry exponents up to 3 and 2, kept variables
     sit between them in the registry, and the layer lists them in the reverse
-    order.  Each descent reassembles mod p, and its output is pinned.
+    order, so output keys are sorted only if coordinate blocks are put in
+    the layer's order.  Each descent reassembles mod p, and its output is
+    pinned.
     """
     parent, child, args = _random_descent(case)
     layer_vars, deg, _, _, _, substitute = args
     kept = ["K1", "K2"] if substitute else ["K1", "S", "K2"]
     assert child.variables == kept + [f"{v},{j}" for v in layer_vars for j in range(deg)]
+    # MultiPoly keys are sorted by variable index
+    assert all(list(key) == sorted(key) for eq in child.equations for key in eq.terms)
     _check_reassembly(parent, child, *args)
     powers = [t["denominator_power"] for t in child.trace if t["kind"] == "descent"]
     assert (powers, _canonical_digest(child)) == RANDOM_DESCENT_PINS[case]
