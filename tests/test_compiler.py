@@ -271,7 +271,7 @@ def _canonical_digest(system):
 def _check_reassembly(parent, child, layer_vars, deg, num, den, seed, substitute=None):
     """sum_k E_k Gamma^k / mult_k == E * den^power mod p at a seeded point.
 
-    num/den is Gamma^deg for a radical layer of degree 2 or 3; num is None for
+    num/den is Gamma^deg for a radical layer of degree 1, 2 or 3; num is None for
     the cyclotomic layer Phi_(deg+1)(Gamma) = 0.  A substituted variable takes
     the value Gamma^power.  Returns the child equations' values at the point.
     """
@@ -290,7 +290,9 @@ def _check_reassembly(parent, child, layer_vars, deg, num, den, seed, substitute
             if d == 0:
                 continue
             ratio = _eval_mod(num, pvals, p) * pow(d, -1, p) % p
-            if deg == 3:
+            if deg == 1:
+                gamma = ratio
+            elif deg == 3:
                 gamma = pow(ratio, (2 * p - 1) // 3, p)
             elif pow(ratio, (p - 1) // 2, p) != 1:
                 continue
@@ -406,6 +408,7 @@ RANDOM_DESCENTS = {
     "D2-den-substitute": (107, 2, "den", 3),
     "D3-den-substitute": (108, 3, "den", 2),
     "D3-one-substitute": (109, 3, "one", 4),
+    "D1-den": (110, 1, "den", None),
 }
 
 # (denominator powers, canonical digest) of each case's output, pinned
@@ -419,6 +422,7 @@ RANDOM_DESCENT_PINS = {
     "D2-den-substitute": ([4, 6, 7, 1], "19d035e750465ca2"),
     "D3-den-substitute": ([4, 3, 5, 0], "f47cf550b4726094"),
     "D3-one-substitute": ([0, 0, 0, 0], "38645347824f7cef"),
+    "D1-den": ([0, 0, 0, 0], "27df55b055a2d9aa"),
 }
 
 
