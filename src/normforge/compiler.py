@@ -19,9 +19,7 @@ Phi_q(Gamma) = 0 to Gamma^(s mod q), with Gamma^(q-1) = -sum_(g < q-1) Gamma^g.
 The recorded power M of an equation is the largest that multiplying each
 monomial's Gamma values left to right would clear, one den per product that
 reaches Gamma^D: n - 1 for a monomial of total degree n >= 1 in the layer
-variables when D >= 2.  A variable substituted by Gamma^power adds
-power * e to s; its square-and-multiply powers are followed through their
-Gamma-degree supports.
+variables when D >= 2, and 0 otherwise.
 
 compile_definition assembles the full two-universal-quantifier shapes, with
 the membership predicates attached as named atoms (the four-squares atom for
@@ -129,7 +127,6 @@ class _GammaTable:
         self.degree = degree
         self.cyclotomic = cyclotomic
         self.clears_den = not cyclotomic and den != MultiPoly.const(den.n, 1)
-        self.num_is_zero = num.is_zero()
         one = MultiPoly.const(num.n, 1)
         self._powers = {"num": [one, num], "den": [one, den]}
 
@@ -153,50 +150,34 @@ class _GammaTable:
             powers.append(powers[-1] * powers[1])
         return powers[k]
 
-    def times(self, a, b):
-        """(den power, Gamma-degree support) of the product of two values.
-
-        A product that reaches Gamma^D is reduced in one round, which clears
-        den once more; with num = 0 the reduced terms vanish.
-        """
-        D = self.degree
-        conv = {i + j for i in a[1] for j in b[1]}
-        if all(k < D for k in conv):
-            return a[0] + b[0], conv
-        return a[0] + b[0] + 1, {k % D for k in conv if k < D or not self.num_is_zero}
-
 
 class _Expansion:
-    """The Gamma values of the monomials in the layer and substituted variables.
+    """The Gamma values of the monomials in the layer variables.
 
     A layer variable is u = sum_j u_j Gamma^j in its coordinates, so u^e is a
     multinomial sum over the index multisets of size e, and a monomial is the
-    product of its variables' sums.  A substituted variable is Gamma^power: it
-    adds power*e to the Gamma degree and no coordinate.  Each term is
+    product of its variables' sums.  Each term is
     (coordinate key, multinomial coefficient, Gamma degree s).
     """
 
-    def __init__(self, table, system, expanded, substitute, new_index):
+    def __init__(self, table, system, expanded, new_index):
         self.table = table
         old_vars = system.variables
-        # old index -> coordinate indices, ascending; old index -> Gamma power
+        # old index -> coordinate indices, ascending
         self.coords = {i: [new_index[c] for c in expanded[v]]
                        for i, v in enumerate(old_vars) if v in expanded}
-        self.substitute = {i: substitute[v] for i, v in enumerate(old_vars) if v in substitute}
         # (old index, e) -> (new index, e) of the kept variables: one object per
         # pair, shared by every output key that holds it
         self.kept = {p: (new_index[old_vars[p[0]]], p[1])
                      for eq in system.equations for key in eq.terms for p in key
                      if old_vars[p[0]] in new_index}
         self.n = len(new_index)
-        # Gamma = Gamma^1 is stored at index min(1, D - 1), so at D = 1 it is 1
-        self.unit = min(1, table.degree - 1)
         self._parts = {}
 
     def terms(self, ukey):
         out = [((), 1, 0)]
         # coordinate blocks follow the layer's variable order, not ukey's
-        for vi, e in sorted(ukey, key=lambda ve: self.coords.get(ve[0], (-1,))[0]):
+        for vi, e in sorted(ukey, key=lambda ve: self.coords[ve[0]][0]):
             part = self._parts.get((vi, e))
             if part is None:
                 part = self._parts[vi, e] = self._power_terms(vi, e)
@@ -204,8 +185,6 @@ class _Expansion:
         return out
 
     def _power_terms(self, vi, e):
-        if vi in self.substitute:
-            return [((), 1, self.substitute[vi] * e * self.unit)]
         coords = self.coords[vi]
         out = []
         for combo in combinations_with_replacement(range(len(coords)), e):
@@ -215,42 +194,23 @@ class _Expansion:
         return out
 
     def den_power(self, ukey):
-        """The power of den that evaluating ukey left to right clears.
+        """The power of den that multiplying ukey's Gamma values left to right clears.
 
-        That product multiplies the values of ukey's variables in index order,
-        each power built as u^(e-1) u and Gamma^power by square-and-multiply.
-        Whether a product reaches Gamma^D depends only on the Gamma-degree
-        supports, so they stand in for the values.  With D >= 2, a monomial of
-        total degree n >= 1 in layer variables alone records n - 1.
+        Each product of two full sums u = sum_j u_j Gamma^j reaches Gamma^D
+        once D >= 2, so a monomial of total degree n >= 1 records n - 1.
         """
-        times = self.table.times
-        acc = (0, {0})
-        for vi, e in ukey:
-            if vi in self.substitute:
-                one, base, k = (0, {0}), (0, {self.unit}), self.substitute[vi]
-                while k:
-                    if k & 1:
-                        one = times(one, base)
-                    base = times(base, base)
-                    k >>= 1
-            else:
-                one = (0, set(range(self.table.degree)))
-            value = one
-            for _ in range(e - 1):
-                value = times(value, one)
-            acc = times(acc, value)
-        return acc[0]
+        return max(sum(e for _, e in ukey) - 1, 0) if self.table.degree >= 2 else 0
 
 
-def _child_registry(system, layer_vars, dropped, deg, layer_name):
+def _child_registry(system, layer_vars, deg, layer_name):
     """The child system of a descent, with its variables but no equations.
 
     The registry lists the kept variables first, in their old order, then deg
-    coordinates "v,j" per layer variable v; variables in `dropped` vanish.
+    coordinates "v,j" per layer variable v.
     _rewrite_equation relies on this order: every kept index is below every
     coordinate index.  Returns (child, {v: coordinate names}, name -> index).
     """
-    keep = [v for v in system.variables if v not in layer_vars and v not in dropped]
+    keep = [v for v in system.variables if v not in layer_vars]
     names = list(keep)
     prov = {v: system.provenance.get(v, "base") for v in keep}
     expanded = {}
@@ -268,17 +228,15 @@ def _child_registry(system, layer_vars, dropped, deg, layer_name):
 def _rewrite_equation(eq, expansion):
     """(Gamma^0..Gamma^(D-1) coefficients, den power) of eq, each term written once.
 
-    The terms of eq are grouped by their monomial in the layer and substituted
-    variables (ukey); the rest is a scalar polynomial in the kept variables.
+    The terms of eq are grouped by their monomial in the layer variables
+    (ukey); the rest is a scalar polynomial in the kept variables.
     A coordinate term of ukey with Gamma degree s contributes
     scalar * multinomial * num^t den^(M - t) at Gamma^(s mod D), M being the
     largest den power of the equation's ukeys.  The product scalar *
     num^t den^(M - t) is formed once per ukey and t, and each of its terms
     gives the output key head + tail, because every kept index lies below
-    every coordinate index.  Distinct ukeys in the layer variables have
-    disjoint coordinate keys, so each output key is written once; only
-    substituted variables, which add no coordinate, make keys collide, and
-    then the collisions are summed.
+    every coordinate index.  Distinct ukeys have disjoint coordinate keys,
+    so each output key is written once.
     """
     table, kept, n_new = expansion.table, expansion.kept, expansion.n
     groups = {}
@@ -287,7 +245,6 @@ def _rewrite_equation(eq, expansion):
         # kept variables keep their relative order, so this key is sorted
         groups.setdefault(ukey, {})[tuple(kept[p] for p in key if p in kept)] = coeff
     M = max(map(expansion.den_power, groups), default=0) if table.clears_den else 0
-    collide = bool(expansion.substitute)
     out = [{} for _ in range(table.degree)]
     for ukey, scalar_terms in groups.items():
         scalar = MultiPoly(n_new)
@@ -298,48 +255,36 @@ def _rewrite_equation(eq, expansion):
                 head = heads.get(t)
                 if head is None:
                     head = heads[t] = (scalar * table.base(t, M)).terms
-                f = sign * mult
-                dest = out[g]
-                if collide:
-                    for k, c in head.items():
-                        k += tail
-                        dest[k] = dest.get(k, 0) + c * f
-                else:
-                    dest.update(zip(map(add, head, repeat(tail)),
-                                    map(mul, head.values(), repeat(f))))
+                out[g].update(zip(map(add, head, repeat(tail)),
+                                  map(mul, head.values(), repeat(sign * mult))))
     polys = []
     for dest in out:
         poly = MultiPoly(n_new)
-        poly.terms = {k: c for k, c in dest.items() if c} if collide else dest
+        poly.terms = dest
         polys.append(poly)
     return polys, M
 
 
-def descend_layer(system, layer_vars, relation_num, relation_den, deg, layer_name,
-                  substitute=None):
+def descend_layer(system, layer_vars, relation_num, relation_den, deg, layer_name):
     """One descent step: rewrite over the field below the layer.
 
     layer_vars: names of the existential variables to expand into deg new
     coordinates each.  relation_num/relation_den: polynomials over the OLD
-    variables defining Gamma^deg = num/den.  substitute: optional {old var
-    name -> gamma-power int} for base variables that become Gamma powers
-    (the c = w^q style rewiring); such variables are dropped from the new
-    registry.
+    variables defining Gamma^deg = num/den.
 
     Every equation E becomes deg equations: E is evaluated in the Gamma
     presentation, reduced through the relation, the denominator is cleared
     by the recorded power, and Gamma-degree coefficients are collected.
     """
-    substitute = substitute or {}
     if relation_den.is_zero():
         raise DegenerateLayer("layer denominator is identically zero")
     old_vars = system.variables
-    out, expanded, new_index = _child_registry(system, layer_vars, substitute, deg, layer_name)
+    out, expanded, new_index = _child_registry(system, layer_vars, deg, layer_name)
     n_new = out.n
     num = _embed_poly(relation_num, old_vars, new_index, n_new)
     den = _embed_poly(relation_den, old_vars, new_index, n_new)
     table = _GammaTable(deg, num, den)
-    expansion = _Expansion(table, system, expanded, substitute, new_index)
+    expansion = _Expansion(table, system, expanded, new_index)
     for eq_idx, eq in enumerate(system.equations):
         coeffs, power = _rewrite_equation(eq, expansion)
         for gdeg, coeff_poly in enumerate(coeffs):
@@ -372,9 +317,9 @@ def descend_cyclotomic(system, layer_vars, q):
     """Descent through the degree-(q-1) cyclotomic layer: Phi_q(Gamma) = 0."""
     deg = q - 1
     layer_name = "xi-layer"
-    out, expanded, new_index = _child_registry(system, layer_vars, (), deg, layer_name)
+    out, expanded, new_index = _child_registry(system, layer_vars, deg, layer_name)
     one = MultiPoly.const(out.n, 1)
-    expansion = _Expansion(_GammaTable(deg, one, one, cyclotomic=True), system, expanded, {},
+    expansion = _Expansion(_GammaTable(deg, one, one, cyclotomic=True), system, expanded,
                            new_index)
     for eq_idx, eq in enumerate(system.equations):
         coeffs, power = _rewrite_equation(eq, expansion)
@@ -434,9 +379,9 @@ def build_descended_system(q):
         PolynomialSystem([f"U{i}" for i in range(1, q + 1)] + ["C", "Z", "X", "B"],
                          {f"U{i}": "norm-layer" for i in range(1, q + 1)}),
     )
-    # Z -> B X^q + B^q, then retire Z from the registry
+    # Z -> B X^q + B^q (N = det - Z), then retire Z from the registry
     rhs = sys0.var("B") * sys0.var("X", q) + sys0.var("B", q)
-    subsN = _substitute_var(N, sys0.index("Z"), rhs)
+    subsN = N + sys0.var("Z") - rhs
     u_names = [f"U{i}" for i in range(1, q + 1)]
     system = PolynomialSystem(u_names + ["C", "X", "B"],
                               {f"U{i}": "norm-layer" for i in range(1, q + 1)})
@@ -467,20 +412,6 @@ def build_descended_system(q):
     return s
 
 
-def _substitute_var(poly, index, replacement):
-    n = poly.n
-    out = MultiPoly.const(n, 0)
-    for key, coeff in poly.terms.items():
-        term = MultiPoly.const(n, coeff)
-        for vi, e in key:
-            if vi == index:
-                term = term * replacement ** e
-            else:
-                term = term * MultiPoly.var(n, vi, e)
-        out = out + term
-    return out
-
-
 def realize_w(field, q, S=(), hat=False):
     """An element with the divisor shape the difference formulas prescribe.
 
@@ -497,14 +428,14 @@ def realize_w(field, q, S=(), hat=False):
     return strong_approx_element(field, valuations=vals)
 
 
-def compile_definition(variant, q, field=None, S=(), w_data=None):
+def compile_definition(variant, q, field=None, S=()):
     """FormulaAST for one of the definable-set shapes.
 
     eqA: forall c in Theta(S) cap Phi cap Omega, forall b ...
     eqB: S empty (Theta collapses); eqC additionally drops Omega (q > 2 or
     no real embeddings).  diffversion1..3 replace the Theta/Phi conditions
     with (c-1)/w in R; w and w-hat are realized by strong approximation when
-    a field is supplied (or passed through w_data), else left symbolic.
+    a field is supplied, else left symbolic.
     """
     if variant not in VARIANTS:
         raise NormforgeError(f"unknown variant {variant!r}")
@@ -526,12 +457,12 @@ def compile_definition(variant, q, field=None, S=(), w_data=None):
     else:
         hat = variant == "diffversion3"
         w_name = "w_hat" if hat else "w"
-        if w_data is None and field is not None:
+        w_data = None
+        if field is not None:
             try:
-                w_elem = realize_w(field, q, S, hat=hat)
-                w_data = [str(c) for c in w_elem.coords]
+                w_data = [str(c) for c in realize_w(field, q, S, hat=hat).coords]
             except SearchExhausted:
-                w_data = None
+                pass
         if w_data is None:
             notes.append(f"{w_name} left symbolic: strong approximation did not realize "
                          "its divisor shape")

@@ -140,18 +140,14 @@ class MultipleCache:
         return pt.x
 
 
-def certify_infinite_order(E, P, bound=12):
-    """Nagell-Lutz style screen: no [n]P hits infinity for n <= bound, and
-    some multiple has non-integral coordinates."""
+def certify_infinite_order(E, P):
+    """Whether P has infinite order: [n]P != O for every n <= 12.
+
+    By Mazur's theorem a torsion point on an elliptic curve over Q has order
+    at most 12, so this decides infinite order.
+    """
     cache = MultipleCache(E, P)
-    nonintegral = False
-    for n in range(1, bound + 1):
-        pt = cache.point(n)
-        if pt.is_infinity():
-            return False
-        if pt.x.denominator != 1 or pt.y.denominator != 1:
-            nonintegral = True
-    return nonintegral or True  # no small torsion found
+    return not any(cache.point(n).is_infinity() for n in range(1, 13))
 
 
 def denominator_divisibility_search(E, P, A, m, k_max=40):

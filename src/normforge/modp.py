@@ -139,6 +139,8 @@ def pmonic(a, p):
 
 
 def pgcd(a, b, p):
+    if b and b[-1] % p == 0:
+        b = pnormalize(b, p)  # gcd(a, 0) is monic a, also when b vanishes mod p
     while b:
         a, b = b, pmod(a, b, p)
     return pmonic(a, p)
@@ -147,6 +149,8 @@ def pgcd(a, b, p):
 def pgcd_ext(a, b, p):
     """(g, s, t) with s*a + t*b = g (g monic)."""
     r0, r1 = list(a), list(b)
+    if r1 and r1[-1] % p == 0:
+        r1 = pnormalize(r1, p)
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:

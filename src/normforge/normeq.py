@@ -259,7 +259,10 @@ class BatteryResult:
         return out
 
 
-def integrality_battery(field, x, q, S=(), candidate_cap=64):
+BATTERY_CANDIDATE_CAP = 64
+
+
+def integrality_battery(field, x, q, S=()):
     """Hunt for (b, c) certifying that x has a forbidden pole.
 
     Follows the constructive recipe: b with order -1 at every candidate pole,
@@ -293,12 +296,17 @@ def integrality_battery(field, x, q, S=(), candidate_cap=64):
             f"every rational unit is a q-th power (q = {q}) in the residue field of order "
             f"{p}^{f} at the target pole, so no rational candidate c can work"
         )
+    if any(s.p == p for s in S):
+        raise SearchExhausted(
+            f"an S-prime lies over {p}, so every candidate c = 1 + j M is 1 mod {p}, a q-th "
+            "power residue at the target pole, and no candidate c can work"
+        )
     b = strong_approx_element(field, valuations=[(P, -1) for P in targets])
     M = q ** 3
     for s in S:
         M *= s.p
     one = field.one()
-    for j in range(1, candidate_cap + 1):
+    for j in range(1, BATTERY_CANDIDATE_CAP + 1):
         c = one * (1 + j * M)
         try:
             if valuation(field, target, c) != 0:
@@ -449,7 +457,7 @@ def ring_filter(field, p, d, x, w_primes):
     return False, x ** r
 
 
-def unbounded_denominator_probe(tree, q, v_rhs_base, c_residue, max_depth=None):
+def unbounded_denominator_probe(tree, q, v_rhs_base, c_residue):
     """Least tree level where the local obstruction vanishes at every factor.
 
     c_residue may be a prime-field int or an FFElem recorded in the residue
@@ -465,9 +473,8 @@ def unbounded_denominator_probe(tree, q, v_rhs_base, c_residue, max_depth=None):
     if isinstance(c_residue, int):
         c_residue = FiniteField(p).element(c_residue)
     f0 = c_residue.field.f
-    depth = tree.depth if max_depth is None else min(max_depth, tree.depth)
     e_base = None
-    for level in range(depth + 1):
+    for level in range(tree.depth + 1):
         nodes = [tree.nodes[nid] for nid in tree.levels[level]]
         if any(n.indeterminate for n in nodes):
             continue
@@ -484,4 +491,4 @@ def unbounded_denominator_probe(tree, q, v_rhs_base, c_residue, max_depth=None):
                 break
         if all_clear:
             return {"level": level, "status": "obstruction vanished"}
-    return {"level": None, "status": f"obstruction persists to depth {depth}"}
+    return {"level": None, "status": f"obstruction persists to depth {tree.depth}"}

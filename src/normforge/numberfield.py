@@ -664,7 +664,10 @@ def _pad(poly, n):
 # constructive strong approximation
 
 
-def uniformizer(field, P, tries=64):
+UNIFORMIZER_TRIES = 64
+
+
+def uniformizer(field, P):
     """pi with v_P(pi) = 1 and v = 0 at the other primes over the same p."""
     p = P.p
     siblings = [Q for Q in splitting_type(field, p) if Q != P]
@@ -672,7 +675,7 @@ def uniformizer(field, P, tries=64):
         return field.element(p)
     g_mod = UniPoly([Fraction(c) for c in P.g]) % field.poly
     gtheta = field.element(_pad(g_mod, field.degree))
-    for j in range(tries):
+    for j in range(UNIFORMIZER_TRIES):
         cand = gtheta + field.element(p * j)
         if cand.is_zero():
             continue

@@ -286,6 +286,7 @@ def _ref_mul(a, b, m):
 
 
 def _ref_gcd(a, b, p):
+    b = _ref_trim([c % p for c in b])
     while b:
         a, b = b, _ref_mod(a, b, p)
     a = _ref_trim([c % p for c in a])
@@ -386,6 +387,11 @@ def test_divisor_whose_top_vanishes_mod_p_is_trimmed():
     assert pmod([2, 3, 4], [1, 5], 5) == []
     assert pdivmod([2, 3, 4], [1, 1, 10, -5], 5) == ([4, 4], [3])  # by x + 1
     assert pgcd_ext([1, 1], [1, 5], 5)[0] == [1]
+    # a divisor that vanishes mod 5 is zero: gcd(a, 0) is monic a
+    assert pgcd([1, 1], [5], 5) == [1, 1]
+    assert pgcd([2, 4], [5, 10], 5) == [3, 1]
+    assert pgcd_ext([1, 1], [5], 5) == ([1, 1], [1], [])
+    assert pgcd_ext([2, 4], [5, 10], 5) == ([3, 1], [4], [])
     for fn in (pdivmod, pmod):
         with pytest.raises(ZeroDivisionError):
             fn([1, 1], [5, 10], 5)

@@ -67,39 +67,6 @@ def test_norm_poly_matches_product_formula_numerically(q):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_descend_example_c_as_gamma_square():
-    # N = U1^2 - C U2^2 - Z with C = Gamma^2, Gamma^2 = g: 2 equations in 4 U-vars
-    N, s = coordinate_norm_poly(2)
-    s.add_equation(N, origin="norm")
-    g_num = MultiPoly.const(s.n, 3)  # g = 3, a rational non-square
-    g_den = MultiPoly.const(s.n, 1)
-    child = descend_layer(s, ["U1", "U2"], g_num, g_den, 2, "test-layer",
-                          substitute={"C": 2})
-    u_vars = [v for v in child.variables if child.provenance[v] == "test-layer"]
-    assert len(u_vars) == 4
-    assert len(child.equations) == 2
-    # witness check: numeric solution of the parent extends with Gamma = sqrt(3)
-    rng = random.Random(5)
-    gamma = 3 ** 0.5
-    for _ in range(10):
-        u10, u11, u20, u21 = (rng.uniform(-2, 2) for _ in range(4))
-        u1 = u10 + u11 * gamma
-        u2 = u20 + u21 * gamma
-        c = gamma ** 2
-        z = u1 ** 2 - c * u2 ** 2
-        vals = {"U1,0": u10, "U1,1": u11, "U2,0": u20, "U2,1": u21, "Z": z}
-        got = [eq.evaluate([vals[v] for v in child.variables]) for eq in child.equations]
-        # reassembled: sum_i N_i gamma^i = parent value = 0
-        assert abs(got[0] + got[1] * gamma) < 1e-6
-    # the exact output: U1,0^2 + 3 U1,1^2 - 3 U2,0^2 - 9 U2,1^2 - Z and 2 U1,0 U1,1 - 6 U2,0 U2,1
-    assert [sorted(eq.terms.items()) for eq in child.equations] == [
-        [(((0, 1),), -1), (((1, 2),), 1), (((2, 2),), 3), (((3, 2),), -3), (((4, 2),), -9)],
-        [(((1, 1), (2, 1)), 2), (((3, 1), (4, 1)), -6)],
-    ]
-    assert [t["origin"] for t in child.trace if t["kind"] == "equation"] == [
-        "norm", "test-layer: eq 0 Gamma^0 (den^0, x1)", "test-layer: eq 0 Gamma^1 (den^0, x1)"]
-
-
 def _assemble(child, layer_name, gamma, assignment, parent_vars):
     """Collapse child-layer coordinates into parent values via gamma powers."""
     out = {}
@@ -268,12 +235,12 @@ def _canonical_digest(system):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _check_reassembly(parent, child, layer_vars, deg, num, den, seed, substitute=None):
+def _check_reassembly(parent, child, layer_vars, deg, num, den, seed):
     """sum_k E_k Gamma^k / mult_k == E * den^power mod p at a seeded point.
 
     num/den is Gamma^deg for a radical layer of degree 1, 2 or 3; num is None for
-    the cyclotomic layer Phi_(deg+1)(Gamma) = 0.  A substituted variable takes
-    the value Gamma^power.  Returns the child equations' values at the point.
+    the cyclotomic layer Phi_(deg+1)(Gamma) = 0.  Returns the child equations'
+    values at the point.
     """
     cyclotomic = num is None
     p = {2: P_XI, 4: P_QUINTIC}[deg] if cyclotomic else P_CUBE
@@ -303,8 +270,6 @@ def _check_reassembly(parent, child, layer_vars, deg, num, den, seed, substitute
     for v in layer_vars:
         pvals[parent.variables.index(v)] = sum(
             cvals[f"{v},{j}"] * pow(gamma, j, p) for j in range(deg)) % p
-    for v, power in (substitute or {}).items():
-        pvals[parent.variables.index(v)] = pow(gamma, power, p)
     cvec = [cvals[v] for v in child.variables]
     origins = [t["origin"] for t in child.trace if t["kind"] == "equation"]
     origins = origins[-len(child.equations):]
@@ -395,20 +360,17 @@ def _random_poly(rng, n, exponent_bounds, size):
     return MultiPoly(n, terms)
 
 
-# (seed, degree, relation, substitute power): radical layers with a polynomial
-# denominator ("den"), a denominator of one ("one") or the cyclotomic layer
-# Phi_(degree+1) ("phi"); the substituted variable S becomes Gamma^power
+# (seed, degree, relation): radical layers with a polynomial denominator
+# ("den"), a denominator of one ("one") or the cyclotomic layer Phi_(degree+1)
+# ("phi")
 RANDOM_DESCENTS = {
-    "D2-den": (101, 2, "den", None),
-    "D3-den": (102, 3, "den", None),
-    "D2-one": (103, 2, "one", None),
-    "D3-one": (104, 3, "one", None),
-    "phi5": (105, 4, "phi", None),
-    "phi3": (106, 2, "phi", None),
-    "D2-den-substitute": (107, 2, "den", 3),
-    "D3-den-substitute": (108, 3, "den", 2),
-    "D3-one-substitute": (109, 3, "one", 4),
-    "D1-den": (110, 1, "den", None),
+    "D2-den": (101, 2, "den"),
+    "D3-den": (102, 3, "den"),
+    "D2-one": (103, 2, "one"),
+    "D3-one": (104, 3, "one"),
+    "phi5": (105, 4, "phi"),
+    "phi3": (106, 2, "phi"),
+    "D1-den": (110, 1, "den"),
 }
 
 # (denominator powers, canonical digest) of each case's output, pinned
@@ -419,16 +381,13 @@ RANDOM_DESCENT_PINS = {
     "D3-one": ([0, 0, 0, 0], "0089b441e626d96d"),
     "phi5": ([0, 0, 0, 0], "2396181b1bae0116"),
     "phi3": ([0, 0, 0, 0], "7f5ba7f34b26bebf"),
-    "D2-den-substitute": ([4, 6, 7, 1], "19d035e750465ca2"),
-    "D3-den-substitute": ([4, 3, 5, 0], "f47cf550b4726094"),
-    "D3-one-substitute": ([0, 0, 0, 0], "38645347824f7cef"),
     "D1-den": ([0, 0, 0, 0], "27df55b055a2d9aa"),
 }
 
 
 def _random_descent(case):
     """(parent, child, check_reassembly arguments) of one seeded case."""
-    seed, deg, relation, power = RANDOM_DESCENTS[case]
+    seed, deg, relation = RANDOM_DESCENTS[case]
     rng = random.Random(seed)
     parent = PolynomialSystem(["A", "K1", "B", "S", "K2"])
     n = parent.n
@@ -440,7 +399,6 @@ def _random_descent(case):
         parent.add_equation(eq, origin=f"random {i}")
     parent.add_equation(_random_poly(rng, n, [(1, 2), (3, 1)], 3), origin="no layer variable")
     layer_vars = ["B", "A"]
-    substitute = {"S": power} if power else None
     if relation == "phi":
         num = den = None
         child = descend_cyclotomic(parent, layer_vars, deg + 1)
@@ -448,8 +406,8 @@ def _random_descent(case):
         num = _random_poly(rng, n, [(1, 2), (4, 2)], 3)
         den = (_random_poly(rng, n, [(1, 1), (4, 2)], 2) if relation == "den"
                else MultiPoly.const(n, 1))
-        child = descend_layer(parent, layer_vars, num, den, deg, "random-layer", substitute)
-    return parent, child, (layer_vars, deg, num, den, seed, substitute)
+        child = descend_layer(parent, layer_vars, num, den, deg, "random-layer")
+    return parent, child, (layer_vars, deg, num, den, seed)
 
 
 @pytest.mark.parametrize("case", sorted(RANDOM_DESCENTS))
@@ -463,9 +421,9 @@ def test_random_descent_reassembles(case):
     pinned.
     """
     parent, child, args = _random_descent(case)
-    layer_vars, deg, _, _, _, substitute = args
-    kept = ["K1", "K2"] if substitute else ["K1", "S", "K2"]
-    assert child.variables == kept + [f"{v},{j}" for v in layer_vars for j in range(deg)]
+    layer_vars, deg = args[:2]
+    assert child.variables == ["K1", "S", "K2"] + [f"{v},{j}" for v in layer_vars
+                                                   for j in range(deg)]
     # MultiPoly keys are sorted by variable index
     assert all(list(key) == sorted(key) for eq in child.equations for key in eq.terms)
     _check_reassembly(parent, child, *args)

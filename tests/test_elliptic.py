@@ -76,6 +76,16 @@ def test_divisibility_search_worked():
     assert len(exc.value.ledger) == 3
 
 
+def test_divisibility_search_refuses_a_torsion_point():
+    # (2, 3) on y^2 = x^3 + 1 has order 6
+    E6 = EllipticCurve(0, 1)
+    T = E6.point(2, 3)
+    assert multiply_point(E6, T, 6).is_infinity()
+    assert not any(multiply_point(E6, T, n).is_infinity() for n in range(1, 6))
+    with pytest.raises(HypothesisFail):
+        denominator_divisibility_search(E6, T, 4, 1)
+
+
 def test_equiv_divisibility_and_find_m():
     cache = MultipleCache(E, P)
     # k = 1: the expression is x/x - 1 = 0, zero numerator divisible by all
@@ -112,6 +122,10 @@ def test_weak_vertical_check():
     u = N.element([3, 49])
     report = weak_vertical_check(N, 1, prime, u, [(1, 3)])
     assert report["consistent"]
+    # a discriminant of order 1 at the prime lowers every coordinate bound by one
+    shifted = weak_vertical_check(N, 1, prime, u, [(1, 3)], disc_order=1)
+    assert [c["bound"] for c in shifted["coordinates"]] == [
+        c["bound"] - 1 for c in report["coordinates"]]
     # u already in the base field
     report2 = weak_vertical_check(N, 1, prime, N.element(5), [(1, 5)])
     assert report2["consistent"]

@@ -185,6 +185,17 @@ def test_battery_refuses_at_once_when_rational_units_are_powers(monkeypatch):
     for field, x, q in ((K3, Fraction(14, 41), 3), (QI, Fraction(4, 961), 2)):
         with pytest.raises(SearchExhausted, match="every rational unit"):
             integrality_battery(field, x, q)
+    # 7 splits in Q(zeta3): with one prime over 7 in S, c = 1 mod 7 is a cube
+    # residue at the other, the target
+    P7a, P7b = splitting_type(K3, 7)
+    with pytest.raises(SearchExhausted, match="an S-prime lies over 7"):
+        integrality_battery(K3, Fraction(1, 7), 3, S=[P7a])
+
+
+def test_battery_allows_poles_at_s_primes():
+    res = integrality_battery(K3, Fraction(1, 7), 3, S=splitting_type(K3, 7))
+    assert res.passed
+    assert [f["flag"] for f in res.flags] == ["AllowedAtS", "AllowedAtS"]
 
 
 def test_battery_catches_pole_at_ramified_prime():

@@ -120,3 +120,47 @@ def test_every_definition_is_used():
             if not (used or name.startswith("__") and name.endswith("__")):
                 unused.append(f"{path.name}:{line}: {qualname}")
     assert unused == []
+
+
+def _calls(tree):
+    """(function name, positional count or None, keyword names) of every call;
+    the count is None when *args is passed, and a **kwargs passes every name."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        yield name, None if starred else len(node.args), keywords
+
+
+def test_every_option_is_set():
+    # a parameter with a default that no call passes has one value in use:
+    # it is a constant, not an option
+    sources = (sorted(PACKAGE.parent.rglob("*.py")) + sorted(TESTS.glob("*.py"))
+               + sorted((PACKAGE.parent.parent / "perfbench").rglob("*.py")))
+    assert len(sources) > 30
+    passed = {}  # function name -> (positions passed, keywords passed)
+    for path in sources:
+        for name, count, keywords in _calls(ast.parse(path.read_text(), filename=str(path))):
+            positions, names = passed.setdefault(name, (set(), set()))
+            positions.add(float("inf") if count is None else count)
+            names.update(keywords)
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            positions, names = passed.get(node.name, (set(), set()))
+            args = node.args.posonlyargs + node.args.args
+            most = max(positions, default=0)
+            options = [(i, a.arg) for i, a in enumerate(args)][len(args) - len(node.args.defaults):]
+            options += [(None, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                        if d is not None]
+            unset += [f"{path.name}:{node.lineno}: {node.name}({arg}=)" for i, arg in options
+                      if arg not in names and None not in names
+                      and (i is None or most <= i)]
+    assert unset == []
