@@ -33,6 +33,7 @@ from math import factorial, prod
 from operator import add, mul
 
 from .errors import DegenerateLayer, IncompleteAssignment, NormforgeError, SearchExhausted
+from .intfunc import is_prime
 from .multipoly import MultiPoly, determinant
 
 VARIANTS = ("eqA", "eqB", "eqC", "diffversion1", "diffversion2", "diffversion3")
@@ -129,9 +130,16 @@ class _GammaTable:
         self.clears_den = not cyclotomic and den != MultiPoly.const(den.n, 1)
         one = MultiPoly.const(num.n, 1)
         self._powers = {"num": [one, num], "den": [one, den]}
+        self._reduced = {}
 
     def reduce(self, s):
         """[(g, t, sign)] with Gamma^s = sum sign Gamma^g (num/den)^t."""
+        out = self._reduced.get(s)
+        if out is None:
+            out = self._reduced[s] = self._reduce(s)
+        return out
+
+    def _reduce(self, s):
         D = self.degree
         if not self.cyclotomic:
             return ((s % D, s // D, 1),)
@@ -166,11 +174,12 @@ class _Expansion:
         # old index -> coordinate indices, ascending
         self.coords = {i: [new_index[c] for c in expanded[v]]
                        for i, v in enumerate(old_vars) if v in expanded}
+        # old index -> new index of the kept variables
+        moved = {i: new_index[v] for i, v in enumerate(old_vars) if v in new_index}
+        pairs = {p for eq in system.equations for key in eq.terms for p in key}
         # (old index, e) -> (new index, e) of the kept variables: one object per
         # pair, shared by every output key that holds it
-        self.kept = {p: (new_index[old_vars[p[0]]], p[1])
-                     for eq in system.equations for key in eq.terms for p in key
-                     if old_vars[p[0]] in new_index}
+        self.kept = {p: (moved[p[0]], p[1]) for p in pairs if p[0] in moved}
         self.n = len(new_index)
         self._parts = {}
 
@@ -233,10 +242,11 @@ def _rewrite_equation(eq, expansion):
     A coordinate term of ukey with Gamma degree s contributes
     scalar * multinomial * num^t den^(M - t) at Gamma^(s mod D), M being the
     largest den power of the equation's ukeys.  The product scalar *
-    num^t den^(M - t) is formed once per ukey and t, and each of its terms
-    gives the output key head + tail, because every kept index lies below
-    every coordinate index.  Distinct ukeys have disjoint coordinate keys,
-    so each output key is written once.
+    num^t den^(M - t) is formed once per distinct scalar and t within the
+    equation (M, and so the product, differs between equations), and each
+    of its terms gives the output key head + tail, because every kept index
+    lies below every coordinate index.  Distinct ukeys have disjoint
+    coordinate keys, so each output key is written once.
     """
     table, kept, n_new = expansion.table, expansion.kept, expansion.n
     groups = {}
@@ -246,17 +256,22 @@ def _rewrite_equation(eq, expansion):
         groups.setdefault(ukey, {})[tuple(kept[p] for p in key if p in kept)] = coeff
     M = max(map(expansion.den_power, groups), default=0) if table.clears_den else 0
     out = [{} for _ in range(table.degree)]
+    products = {}  # (scalar content, t) -> terms of scalar * num^t den^(M - t)
     for ukey, scalar_terms in groups.items():
         scalar = MultiPoly(n_new)
         scalar.terms = scalar_terms
-        heads = {}
+        content = frozenset(scalar_terms.items())
         for tail, mult, s in expansion.terms(ukey):
             for g, t, sign in table.reduce(s):
-                head = heads.get(t)
+                head = products.get((content, t))
                 if head is None:
-                    head = heads[t] = (scalar * table.base(t, M)).terms
-                out[g].update(zip(map(add, head, repeat(tail)),
-                                  map(mul, head.values(), repeat(sign * mult))))
+                    head = products[content, t] = (scalar * table.base(t, M)).terms
+                factor = sign * mult
+                if factor == 1:
+                    out[g].update(zip(map(add, head, repeat(tail)), head.values()))
+                else:
+                    out[g].update(zip(map(add, head, repeat(tail)),
+                                      map(mul, head.values(), repeat(factor))))
     polys = []
     for dest in out:
         poly = MultiPoly(n_new)
@@ -374,6 +389,8 @@ def build_descended_system(q):
     Gamma1^q = 1 + 1/X, then the cyclotomic layer when xi_q is not already
     rational (q > 2).
     """
+    if not is_prime(q):
+        raise NormforgeError("q must be prime")
     N, sys0 = coordinate_norm_poly(
         q,
         PolynomialSystem([f"U{i}" for i in range(1, q + 1)] + ["C", "Z", "X", "B"],

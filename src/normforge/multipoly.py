@@ -115,6 +115,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise NormforgeError(f"negative power {k} of a polynomial")
         out = MultiPoly.const(self.n, 1)
         base = self
         while k:

@@ -20,7 +20,7 @@ from normforge.compiler import (
     square_trick_witness,
     verify_witness,
 )
-from normforge.errors import IncompleteAssignment
+from normforge.errors import IncompleteAssignment, NormforgeError
 from normforge.multipoly import MultiPoly
 
 
@@ -205,6 +205,12 @@ def test_system_json_round_trip():
     assert all(a == b for a, b in zip(back.equations, s.equations))
 
 
+def test_multipoly_negative_power_raises():
+    with pytest.raises(NormforgeError):
+        MultiPoly.var(2, 0) ** -1
+    assert MultiPoly.var(2, 0) ** 0 == MultiPoly.const(2, 1)
+
+
 def test_multipoly_from_json_accumulates_like_init():
     assert MultiPoly.from_json(2, [["0", [1, 0]]]).is_zero()
     assert MultiPoly.from_json(2, [["1", [1, 0]], ["2", [1, 0]]]) == MultiPoly.var(2, 0, 1, 3)
@@ -294,7 +300,7 @@ def _value_digest(system, values):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def test_q3_descent_exact_mod_p():
+def test_q3_descent_exact_mod_p(monkeypatch):
     """The q = 3 tower down to layer1, and the cyclotomic layer of layer2, checked exactly.
 
     Layer3 and layer2 have denominators in the kept variables (C X and
@@ -335,7 +341,14 @@ def test_q3_descent_exact_mod_p():
 
     den1 = layer2.var("X")
     num1 = den1 + MultiPoly.const(layer2.n, 1)
+    products = []
+    product = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or product(a, b))
     layer1 = descend_layer(layer2, vars2, num1, den1, q, "layer1 1/x")
+    monkeypatch.undo()
+    # scalar * num^t den^(M - t) is formed once per distinct scalar and t of an
+    # equation, not once per monomial in the layer variables (7348 products)
+    assert len(products) == 1702
     values = _check_reassembly(layer2, layer1, vars2, q, num1, den1, seed=34)
     powers = [2] * 9  # total degree 3 in the layer2 coordinates: 3 - 1
     assert [t["origin"] for t in layer1.trace if t["kind"] == "equation"][-27:] == [

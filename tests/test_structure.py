@@ -57,6 +57,31 @@ def test_no_module_assigns_to_an_imported_module():
     assert offenders == []
 
 
+COLLECTOR_STATE = {"disable", "freeze", "set_threshold"}
+
+
+def test_no_module_sets_collector_state():
+    # gc.disable, gc.freeze and gc.set_threshold change the collector for the
+    # whole process: a mutable global knob like any other
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert len(paths) > 10
+    offenders = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        gc_names = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names
+                    if alias.name == "gc"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                offenders += [f"{path.name}:{node.lineno}: gc.{alias.name}"
+                              for alias in node.names
+                              if alias.name in COLLECTOR_STATE or alias.name == "*"]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in gc_names and node.attr in COLLECTOR_STATE):
+                offenders.append(f"{path.name}:{node.lineno}: gc.{node.attr}")
+    assert offenders == []
+
+
 def _definitions(tree):
     """(line, qualified name, name) of every function, method and class."""
     def walk(node, prefix):
