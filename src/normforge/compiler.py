@@ -267,11 +267,9 @@ def _rewrite_equation(eq, expansion):
                 if head is None:
                     head = products[content, t] = (scalar * table.base(t, M)).terms
                 factor = sign * mult
-                if factor == 1:
-                    out[g].update(zip(map(add, head, repeat(tail)), head.values()))
-                else:
-                    out[g].update(zip(map(add, head, repeat(tail)),
-                                      map(mul, head.values(), repeat(factor))))
+                values = (head.values() if factor == 1
+                          else map(mul, head.values(), repeat(factor)))
+                out[g].update(zip(map(add, head, repeat(tail)), values))
     polys = []
     for dest in out:
         poly = MultiPoly(n_new)
@@ -330,6 +328,8 @@ def _embed_poly(poly, old_vars, new_index, n_new):
 
 def descend_cyclotomic(system, layer_vars, q):
     """Descent through the degree-(q-1) cyclotomic layer: Phi_q(Gamma) = 0."""
+    if not is_prime(q):
+        raise NormforgeError("q must be prime")
     deg = q - 1
     layer_name = "xi-layer"
     out, expanded, new_index = _child_registry(system, layer_vars, deg, layer_name)

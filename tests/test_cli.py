@@ -23,12 +23,12 @@ README_SPEC = {
 }
 
 
-def run_module(args, timeout=None):
+def run_module(args):
     """Run `python -m normforge.cli` in a fresh process on this checkout's source."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "normforge.cli", *args],
-                          capture_output=True, text=True, cwd=SRC, env=env, timeout=timeout)
+                          capture_output=True, text=True, cwd=SRC, env=env, timeout=60)
 
 
 def run_cli(args, capsys):
@@ -108,7 +108,7 @@ def test_compile_cli(capsys):
 def test_compile_rejects_q_not_prime(q):
     # q = 4 would run for minutes and reduce by 1 + Gamma + Gamma^2 + Gamma^3,
     # which is not Phi_4; q = 1 would print a system
-    proc = run_module(["compile", "--variant", "eqC", "--q", q], timeout=20)
+    proc = run_module(["compile", "--variant", "eqC", "--q", q])
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
     assert (report["error"], report["message"]) == ("NormforgeError", "q must be prime")

@@ -196,6 +196,15 @@ def test_degenerate_layer_rejected():
                       MultiPoly.const(s.n, 0), 2, "bad")
 
 
+def test_cyclotomic_layer_needs_prime_q():
+    # for q = 4 the table would reduce by 1 + Gamma + Gamma^2 + Gamma^3, not Phi_4
+    s = PolynomialSystem(["A", "K"])
+    s.add_equation(s.var("A", 3) - s.var("K"))
+    for q in (0, 1, 4):
+        with pytest.raises(NormforgeError, match="q must be prime"):
+            descend_cyclotomic(s, ["A"], q)
+
+
 def test_system_json_round_trip():
     s = build_descended_system(2)
     data = s.to_json()
