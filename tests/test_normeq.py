@@ -72,6 +72,53 @@ def test_analyze_direct_ledger_byte_pinned(c, rhs, digest):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("seed, digest", [(1, "b447b9bc83e581f6"), (2, "bfdda4233a395db0")])
+def test_analyze_ledger_byte_pinned_in_degree_two_residue_fields(seed, digest, monkeypatch):
+    """Ledgers of a seeded sweep over Q(i) (q = 2) and Q(zeta3) (q = 3).
+
+    Their inert primes have residue fields F_(p^2), and tame ramified layers
+    refresh tracked residues by a power of the radicand's residue
+    (LocalPrime.child with a twist); the sweep must reach both.  Half the
+    instances take c = 1 mod q^3 (the phi guard), so all three verdicts occur.
+    """
+    from normforge import local
+
+    reached = {"twist": 0, "f2": 0}
+    child, test = local.LocalPrime.child, local.power_test_in_extension
+
+    def spy_child(node, *args, twist=None, **kwargs):
+        reached["twist"] += twist is not None
+        return child(node, *args, twist=twist, **kwargs)
+
+    def spy_test(a, q, ext_f):
+        reached["f2"] += a.field.f == 2
+        return test(a, q, ext_f)
+
+    monkeypatch.setattr(local.LocalPrime, "child", spy_child)
+    monkeypatch.setattr(local, "power_test_in_extension", spy_test)
+    QI = NumberField(UniPoly([1, 0, 1]), name="Q(i)")
+    rng = random.Random(seed)
+    out = []
+    for i in range(8):
+        field, q = (QI, 2) if i % 2 == 0 else (K3, 3)
+
+        def element():
+            return field.element([Fraction(rng.randint(-9, 9), rng.choice([1, 3, 7])),
+                                  rng.randint(-3, 3)])
+
+        x, b, c = element(), element(), element()
+        if i % 4 < 2:
+            c = field.one() + field.element([rng.randint(-3, 3), rng.randint(1, 3)]) * q ** 3
+        try:
+            verdict, ledger = analyze(NormEquationInstance(field, q, x, b, c))
+            out.append([verdict.kind, ledger.to_json()])
+        except NormforgeError as exc:
+            out.append(type(exc).__name__)
+    assert reached["twist"] and reached["f2"]
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 def test_analyze_direct_agrees_with_hilbert_symbols_on_grid():
     """Over Q with q = 2 the verdict is classical: N from Q(sqrt(c)) represents
     rhs iff (c, rhs)_v = +1 at every place.  Exhaustive grid agreement."""
