@@ -425,12 +425,57 @@ def test_power_residue_brute_force_agreement():
             field = FiniteField(p, mod)
         if field.order > 10 ** 4:
             continue
+        mod = list(field.modulus)
         for q in (2, 3, 5):
-            powers = {tuple((a ** q).coeffs) for a in field.elements() if not a.is_zero()}
+            powers = set()
+            for a in field.elements():
+                if a.is_zero():
+                    continue
+                power = [1]
+                for _ in range(q):
+                    power = _ref_mod(_ref_mul(power, list(a.coeffs), p), mod, p)
+                powers.add(tuple(power))
             for a in field.elements():
                 if a.is_zero():
                     continue
                 assert power_residue_test(a, field, q) == (tuple(a.coeffs) in powers)
+
+
+def _ref_field(p, f):
+    """F_(p^f) on the least monic modulus that the per-step Rabin test accepts."""
+    if f == 1:
+        return FiniteField(p)
+    for tail in itertools.product(range(p), repeat=f):
+        if _ref_rabin(list(tail) + [1], p):
+            return FiniteField(p, list(tail) + [1])
+
+
+@pytest.mark.parametrize("p, f", [(2, 1), (3, 1), (7, 1), (101, 1), (10007, 1),
+                                  (2, 2), (3, 2), (7, 2), (2, 3), (5, 3), (2, 4), (3, 4)])
+def test_ffelem_matches_per_step_reference(p, f):
+    """FFElem products, powers and inverses agree with per-step-reduced
+    polynomial references; the inverse reference is a^(order - 2)."""
+    field = _ref_field(p, f)
+    mod, order = list(field.modulus), field.order
+    rng = random.Random(p * 10 + f)
+    zero = field.zero()
+    assert (zero ** 0).coeffs == (1,) and (zero ** 5).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    for _ in range(12):
+        a = field.element([rng.randrange(-p, 2 * p) for _ in range(rng.randint(1, 2 * f))])
+        b = field.element([rng.randrange(p) for _ in range(f)])
+        ac, bc = list(a.coeffs), list(b.coeffs)
+        assert list((a * b).coeffs) == _ref_mod(_ref_mul(ac, bc, p), mod, p)
+        assert (a * zero).is_zero()
+        if a.is_zero():
+            continue
+        inv = _ref_powmod(ac, order - 2, mod, p)
+        assert list(a.inverse().coeffs) == inv
+        for e in (0, 1, p - 1, order - 1, order, rng.randrange(order ** 3)):
+            assert list((a ** e).coeffs) == _ref_powmod(ac, e, mod, p)
+        e = rng.randint(1, 2 * order)
+        assert list((a ** -e).coeffs) == _ref_powmod(inv, e, mod, p)
 
 
 def test_power_test_in_extension_matches_direct():
