@@ -1,15 +1,19 @@
 """Residue field arithmetic F_{p^f} = F_p[x]/(g), g irreducible mod p.
 
-Elements are immutable coefficient tuples.  The q-th power residue test
-follows the exponent criterion: a is a q-th power iff a^((p^f-1)/q) = 1 when
-q | p^f - 1, and unconditionally otherwise (the q-power map is then a
-bijection).  `power_test_in_extension` runs the same test for the image of an
-element inside F_{p^(f*k)} without ever constructing the larger field, by
-reducing the exponent modulo the order of the smaller group.
+Elements are immutable coefficient tuples (reduced, no trailing zeros).  The
+arithmetic delegates to `modp`: a product is one `pmod` of the convolution, a
+power one `ppow_mod`.  A prime field (f = 1) holds constants and uses the
+built-in `pow` and products mod p.  The q-th power residue test follows the
+exponent criterion: a is a q-th power iff a^((p^f-1)/q) = 1 when q | p^f - 1,
+and unconditionally otherwise (the q-power map is then a bijection); in a
+prime field that is Euler's criterion, one `pow`.  `power_test_in_extension`
+runs the same test for the image of an element inside F_{p^(f*k)} without
+ever constructing the larger field, by reducing the exponent modulo the
+order of the smaller group.
 """
 
 from .errors import NormforgeError, ZeroResidue
-from .modp import is_irreducible_mod_p, pgcd_ext, pmod, pmul, pnormalize
+from .modp import _convolve, is_irreducible_mod_p, padd, pgcd_ext, pmod, pnormalize, ppow_mod, psub
 
 
 class FiniteField:
@@ -18,9 +22,8 @@ class FiniteField:
     def __init__(self, p, modulus=None, check=True):
         self.p = p
         if modulus is None:
-            modulus = [0, 1]  # prime field marker: x, elements are constants
             self.f = 1
-            self.modulus = (0, 1)
+            self.modulus = (0, 1)  # prime field marker: x, elements are constants
         else:
             modulus = pnormalize(list(modulus), p)
             if check and not is_irreducible_mod_p(modulus, p):
@@ -34,8 +37,8 @@ class FiniteField:
 
     def element(self, coeffs):
         if isinstance(coeffs, int):
-            coeffs = [coeffs]
-        return FFElem(self, tuple(pmod(pnormalize(list(coeffs), self.p), list(self.modulus), self.p)))
+            coeffs = (coeffs,)
+        return FFElem(self, pmod(coeffs, self.modulus, self.p))
 
     def zero(self):
         return self.element(0)
@@ -48,7 +51,7 @@ class FiniteField:
         from itertools import product
 
         for tup in product(range(self.p), repeat=self.f):
-            yield self.element(list(tup))
+            yield self.element(tup)
 
     def __eq__(self, other):
         return (
@@ -84,33 +87,27 @@ class FFElem:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
-    def _bin(self, other, op):
-        f = self.field
-        a, b = list(self.coeffs), list(other.coeffs)
-        return FFElem(f, tuple(op(a, b)))
-
     def __add__(self, other):
-        from .modp import padd
-
-        return self._bin(other, lambda a, b: padd(a, b, self.field.p))
+        return FFElem(self.field, padd(self.coeffs, other.coeffs, self.field.p))
 
     def __sub__(self, other):
-        from .modp import psub
-
-        return self._bin(other, lambda a, b: psub(a, b, self.field.p))
+        return FFElem(self.field, psub(self.coeffs, other.coeffs, self.field.p))
 
     def __mul__(self, other):
-        f = self.field
-        prod = pmul(list(self.coeffs), list(other.coeffs), f.p)
-        return FFElem(f, tuple(pmod(prod, list(f.modulus), f.p)))
+        f, a, b = self.field, self.coeffs, other.coeffs
+        if f.f == 1:
+            return FFElem(f, (a[0] * b[0] % f.p,) if a and b else ())
+        return FFElem(f, pmod(_convolve(a, b), f.modulus, f.p))
 
     def inverse(self):
         f = self.field
         if self.is_zero():
             raise ZeroDivisionError
-        g, s, _ = pgcd_ext(list(self.coeffs), list(f.modulus), f.p)
+        if f.f == 1:
+            return FFElem(f, (pow(self.coeffs[0], -1, f.p),))
+        g, s, _ = pgcd_ext(self.coeffs, f.modulus, f.p)
         assert g == [1]
-        return FFElem(f, tuple(pmod(s, list(f.modulus), f.p)))
+        return FFElem(f, pmod(s, f.modulus, f.p))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -119,17 +116,21 @@ class FFElem:
         f = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        result = f.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if self.is_zero():
+            return f.one() if e == 0 else self
+        if f.f == 1:
+            return FFElem(f, (pow(self.coeffs[0], e, f.p),))
+        return FFElem(f, ppow_mod(self.coeffs, e, f.modulus, f.p))
 
     def __repr__(self):
         return f"FF({list(self.coeffs)} over {self.field})"
+
+
+def _power_is_one(coeffs, e, field):
+    """True iff the unit with these stored coefficients, raised to e, is 1."""
+    if field.f == 1:
+        return pow(coeffs[0], e, field.p) == 1
+    return ppow_mod(coeffs, e, field.modulus, field.p) == [1]
 
 
 def power_residue_test(a, field, q):
@@ -138,14 +139,11 @@ def power_residue_test(a, field, q):
     a may be an int (reduced into the prime subfield) or an FFElem.
     Zero is rejected: the caller must ensure a is a unit.
     """
-    if isinstance(a, int):
-        a = field.element(a)
-    if a.is_zero():
+    coeffs = pnormalize([a], field.p) if isinstance(a, int) else a.coeffs
+    if not coeffs:
         raise ZeroResidue("power residue test on 0")
     n = field.order - 1
-    if n % q != 0:
-        return True
-    return a ** (n // q) == field.one()
+    return n % q != 0 or _power_is_one(coeffs, n // q, field)
 
 
 def power_test_in_extension(a, q, ext_f):
@@ -163,5 +161,4 @@ def power_test_in_extension(a, q, ext_f):
     big = field.p ** ext_f - 1
     if big % q != 0:
         return True
-    e = (big // q) % (field.order - 1)
-    return a ** e == field.one()
+    return _power_is_one(a.coeffs, (big // q) % (field.order - 1), field)
