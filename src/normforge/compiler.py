@@ -265,7 +265,9 @@ def _rewrite_equation(eq, expansion):
             for g, t, sign in table.reduce(s):
                 head = products.get((content, t))
                 if head is None:
-                    head = products[content, t] = (scalar * table.base(t, M)).terms
+                    # num^0 den^0 is the constant 1: the product is the scalar
+                    head = products[content, t] = ((scalar * table.base(t, M)).terms
+                                                   if t or M else scalar_terms)
                 factor = sign * mult
                 values = (head.values() if factor == 1
                           else map(mul, head.values(), repeat(factor)))

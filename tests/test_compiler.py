@@ -343,15 +343,20 @@ def test_q3_descent_exact_mod_p(monkeypatch):
     assert _canonical_digest(layer2) == "d4e2e345dec0e2bb"
 
     vars2 = [v for v in layer2.variables if layer2.provenance[v] == "layer2 1/(b x^q + b^q)"]
+    products = []
+    product = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or product(a, b))
     xi = descend_cyclotomic(layer2, vars2, q)
+    monkeypatch.undo()
+    # every cyclotomic base is the constant 1, so the xi descent multiplies nothing
+    assert len(products) == 0
     _check_reassembly(layer2, xi, vars2, q - 1, None, None, seed=33)
     assert sum(len(eq.terms) for eq in xi.equations) == 129050
     del xi
 
     den1 = layer2.var("X")
     num1 = den1 + MultiPoly.const(layer2.n, 1)
-    products = []
-    product = MultiPoly.__mul__
+    products.clear()
     monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or product(a, b))
     layer1 = descend_layer(layer2, vars2, num1, den1, q, "layer1 1/x")
     monkeypatch.undo()
