@@ -34,6 +34,7 @@ from .local import (
 from .numberfield import (
     element_support,
     omega_membership,
+    residue_nonqth_power,
     splitting_type,
     strong_approx_element,
     theta_phi_membership,
@@ -309,13 +310,9 @@ def integrality_battery(field, x, q, S=()):
     for j in range(1, BATTERY_CANDIDATE_CAP + 1):
         c = one * (1 + j * M)
         try:
-            if valuation(field, target, c) != 0:
-                continue
-            from .numberfield import residue_nonqth_power
-
             if not residue_nonqth_power(field, target, c, q):
                 continue
-        except NormforgeError:
+        except NormforgeError:  # NotAUnit: v_P(c) != 0
             continue
         in_theta, in_phi = theta_phi_membership(field, c, S, q)
         if not (in_theta and in_phi and omega_membership(field, c, q)):
@@ -357,7 +354,6 @@ def b_set_membership(field, p, a, d, x, w_primes):
     local rule instead -- over Q_2 that is a = 5 mod 8.
     """
     from .errors import HypothesisFail
-    from .numberfield import residue_nonqth_power
 
     d = field.element(d)
     a = field.element(a)
