@@ -191,6 +191,28 @@ def test_verdict_reports_byte_pinned(tmp_path, capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+EC_ARGS = ["ec", "mul", "--curve", '{"a": 0, "c": -2}', "--point", '{"x": 3, "y": 5}']
+
+
+@pytest.mark.parametrize("args, code, digest", [
+    (["cyclic", "construct", "--q", "2", "--m", "2"], 0, "cb41457dc3da763c"),
+    (["cyclic", "construct", "--q", "3", "--m", "1"], 0, "0c8cc2cff1118390"),
+    (["cyclic", "construct", "--q", "3", "--m", "2"], 0, "c9312e6311737a91"),
+    (["cyclic", "construct", "--q", "5", "--m", "1"], 0, "bff9f1d91f5f38a4"),
+    (EC_ARGS + ["--n", "-3"], 0, "a798af08e9944392"),
+    (EC_ARGS + ["--n", "7"], 0, "c8398243abecfaa2"),
+    # the README spec is an XBC instance, so badprimeq refuses it as a domain error
+    (["verify", "prop", "--kind", "badprimeq", "--spec", "{spec}", "--prime", "7"], 1,
+     "ce9bc8b05418930f"),
+])
+def test_construction_reports_byte_pinned(tmp_path, capsys, args, code, digest):
+    # SHA-256 prefixes of stdout, with the exit code
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(README_SPEC))
+    got, out = run_cli([a.replace("{spec}", str(path)) for a in args], capsys)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
+
+
 def test_depth_cap_enforced(capsys):
     code, out = run_cli(["--depth-cap", "2", "tower", "grow", "--recipe", "five-power",
                          "--prime", "2", "--depth", "3"], capsys)

@@ -9,6 +9,7 @@ from normforge.cyclic import (
     gaussian_period_subfield,
     kummer_generator,
     nonsplit_sublayer,
+    real_cyclotomic_minpoly,
     subgroup_of_index,
 )
 from normforge.errors import HypothesisFail, RamifiedCase, SearchExhausted
@@ -180,3 +181,41 @@ def test_cyclic_field_json():
     assert data["ell"] == 7 and data["degree"] == 3
     assert data["period_poly"] == ["-1", "-2", "1", "1"]
     assert data["totally_real"] is True
+
+
+def test_real_cyclotomic_minpoly_vanishes_at_two_cos():
+    # checked by exact evaluation at xi + xi^-1 in Q(xi_m), not through cyclic
+    from math import gcd
+
+    for m in range(3, 41):
+        poly = real_cyclotomic_minpoly(m)
+        assert poly.is_monic()
+        assert 2 * poly.degree == sum(1 for k in range(1, m) if gcd(k, m) == 1)
+        K = NumberField.cyclotomic(m)
+        beta = K.gen() + K.gen() ** (m - 1)
+        value = K.zero()
+        for c in reversed(poly.coeffs):
+            value = value * beta + c
+        assert value.is_zero(), m
+
+
+@pytest.mark.parametrize("ell, q", [(7, 3), (13, 3), (5, 2), (13, 2), (11, 5)])
+def test_kummer_generator_is_the_resolvent_power(ell, q):
+    # r = sum_j xi_q^j eta_j with eta_j the period over g^j H, g the least
+    # primitive root mod ell and H the q-th powers, built in Q(xi_{q ell})
+    a, _ = kummer_generator(ell, q)
+    assert a.field == NumberField.cyclotomic(q)
+    L = NumberField.cyclotomic(q * ell)
+    xi_q, xi_ell = L.gen() ** ell, L.gen() ** q
+    g = next(g for g in range(2, ell) if len({pow(g, k, ell) for k in range(ell)}) == ell - 1)
+    H = {pow(y, q, ell) for y in range(1, ell)}
+    r = L.zero()
+    for j in range(q):
+        eta = L.zero()
+        for h in H:
+            eta = eta + xi_ell ** (pow(g, j, ell) * h % ell)
+        r = r + xi_q ** j * eta
+    image = L.zero()
+    for i, c in enumerate(a.coords):
+        image = image + xi_q ** i * c
+    assert r ** q == image

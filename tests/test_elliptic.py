@@ -37,6 +37,17 @@ def test_double_worked_example():
     assert multiply_point(E, P, -2) == -P2
 
 
+def test_multiply_point_matches_repeated_addition():
+    # (2, 3) on y^2 = x^3 + 1 has order 6, so its multiples wrap round twice
+    E6 = EllipticCurve(0, 1)
+    for curve, pt in ((E, P), (E6, E6.point(2, 3))):
+        for n in range(-6, 13):
+            want = curve.infinity()
+            for _ in range(abs(n)):
+                want = want + (pt if n > 0 else -pt)
+            assert multiply_point(curve, pt, n) == want
+
+
 def test_group_law_sampled():
     rng = random.Random(2024)
     cache = MultipleCache(E, P)

@@ -9,6 +9,7 @@ from normforge.errors import (
     DegenerateRadicand,
     HypothesisFail,
     MissingRootOfUnity,
+    NormforgeError,
 )
 from normforge.numberfield import (
     NumberField,
@@ -136,6 +137,39 @@ def test_fixorderq_two_adic():
     report = verify_proposition("fixorderq", spec, None)
     for c in report.conclusions:
         assert c["holds"] in ("yes", "excluded")
+
+
+def test_verify_proposition_error_paths():
+    P7a, _ = splitting_type(K3, 7)
+    P2, = splitting_type(Q, 2)
+    xda = RadicalTowerSpec(Q, 2, XDA, Fraction(1, 4), Fraction(1, 8), 5,
+                           nonsplit_certificate={"kind": "two-adic"})
+    # the kind is checked first, then the variant, then the target prime
+    for spec in (FIXTURE, xda):
+        with pytest.raises(NormforgeError) as exc:
+            verify_proposition("badprimes", spec)
+        assert str(exc.value) == "unknown proposition kind 'badprimes'"
+    for kind, spec, want in (("badprime", xda, "XBC"), ("fixorder", xda, "XBC"),
+                             ("badprimeq", FIXTURE, "XDA"), ("fixorderq", FIXTURE, "XDA")):
+        with pytest.raises(NormforgeError) as exc:
+            verify_proposition(kind, spec)
+        assert str(exc.value) == f"{kind} needs the {want} variant"
+    for kind, spec in (("badprime", FIXTURE), ("badprimeq", xda)):
+        with pytest.raises(NormforgeError) as exc:
+            verify_proposition(kind, spec)
+        assert str(exc.value) == f"{kind} needs a target prime"
+    # a target prime makes the fixorder kinds check the hypotheses of their
+    # badprime counterparts, and a failure carries the report
+    bad_b = RadicalTowerSpec(K3, 3, XBC, Fraction(1, 7), Fraction(1, 343), 82)
+    splits = RadicalTowerSpec(Q, 2, XDA, Fraction(1, 4), Fraction(1, 8), 17,
+                              nonsplit_certificate={"kind": "two-adic"})
+    for kind, spec, P, failed in (("fixorder", bad_b, P7a, [4, 5]),
+                                  ("fixorderq", splits, P2, [2])):
+        with pytest.raises(HypothesisFail) as exc:
+            verify_proposition(kind, spec, P)
+        report = exc.value.report
+        assert exc.value.failed == report.failed_indices() == failed
+        assert report.kind == kind and report.conclusions == [] and not report.hypotheses_pass
 
 
 def test_badprimeq_three_adic_fixture():
