@@ -1,8 +1,7 @@
 """Totally real cyclic fields via Gaussian periods, and compositum bookkeeping.
 
 The degree-d subfield of Q(xi_ell) (ell prime, d | ell-1) is generated by the
-period eta = sum of xi_ell^h over the index-d subgroup H of (Z/ell)*.  Its
-minimal polynomial is expanded with exact arithmetic in Z[xi_ell], no floats.
+period eta = sum of xi_ell^h over the index-d subgroup H of (Z/ell)*.
 Residue degrees in the subfield come straight from the image of p in the
 quotient group (Z/ell)*/H, which is the Frobenius.
 
@@ -10,7 +9,10 @@ Periods, Lagrange resolvents and 2 cos(2 pi / m) are sums of roots of unity
 with integer coefficients, so they are computed as integer vectors in
 Z[x]/(x^n - 1), where a product is a cyclic convolution.  That ring maps onto
 Q(xi_n) = Q[x]/Phi_n, and a vector is reduced mod Phi_n only where its
-coordinates are read.
+coordinates are read.  A minimal polynomial is the product of (y - root)
+over a Galois orbit, expanded in that ring; an element of a subfield
+Q(xi_q) is projected there by the relative trace.  No floats and no linear
+algebra.
 
 The auxiliary prime search realizes the construction "ell == 1 mod q^m with
 q not a q-th power mod ell"; the degree-q layer generator of the compositum
@@ -18,6 +20,7 @@ is produced explicitly as a Lagrange resolvent q-th power in Z[xi_{q ell}].
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import HypothesisFail, NormforgeError, RamifiedCase, SearchExhausted
 from .finitefield import FiniteField, power_residue_test
@@ -139,31 +142,35 @@ def _periods(ell, H, n, scale):
     return out
 
 
+def _orbit_polynomial(roots, n):
+    """prod (y - root) over a Galois orbit of roots in Z[x]/(x^n - 1), over Q."""
+    zero = [0] * n
+    coeffs = [_root_power(n, 0)]
+    for root in roots:
+        # multiply by (y - root): shift up, subtract root times the old coefficients
+        lower = [_cyclic_mul(root, c) for c in coeffs] + [zero]
+        coeffs = [[u - v for u, v in zip(up, low)] for up, low in zip([zero] + coeffs, lower)]
+    rat = []
+    for c in coeffs:
+        coords = _cyclotomic_coords(c, n)
+        if any(coords[1:]):
+            raise AssertionError("orbit polynomial has an irrational coefficient")
+        rat.append(coords[0])
+    return UniPoly(rat)
+
+
 def gaussian_period_subfield(ell, d):
     """CyclicFieldData for the degree-d subfield of Q(xi_ell).
 
-    The period polynomial prod_j (y - eta_j) is expanded with coefficients
-    in Z[xi_ell]; the result must come out rational, and irreducibility over
-    Q is asserted.
+    The period polynomial is the orbit product of the periods; it must come
+    out rational, and irreducibility over Q is asserted.
     """
     if not is_prime(ell):
         raise NormforgeError("ell must be prime")
     H = subgroup_of_index(ell, d)
     if d == 1:
         return CyclicFieldData(ell, 1, UniPoly([1, 1]), H)
-    zero = [0] * ell
-    coeffs = [_root_power(ell, 0)]
-    for eta in _periods(ell, H, ell, 1):
-        # multiply by (y - eta): shift up, subtract eta times the old coefficients
-        lower = [_cyclic_mul(eta, c) for c in coeffs] + [zero]
-        coeffs = [[u - v for u, v in zip(up, low)] for up, low in zip([zero] + coeffs, lower)]
-    rat = []
-    for c in coeffs:
-        coords = _cyclotomic_coords(c, ell)
-        if any(coords[1:]):
-            raise AssertionError("period polynomial has an irrational coefficient")
-        rat.append(coords[0])
-    poly = UniPoly(rat)
+    poly = _orbit_polynomial(_periods(ell, H, ell, 1), ell)
     assert poly.is_monic() and poly.degree == d
     if not is_irreducible_over_q(poly):
         raise AssertionError("period polynomial is not irreducible")
@@ -247,7 +254,8 @@ def kummer_generator(ell, q):
     """(a, H-data) with Q(xi_q)(a^(1/q)) = Q(xi_q) * H, H the degree-q period field.
 
     a is the q-th power of the Lagrange resolvent r = sum_j xi_q^j eta_j,
-    computed exactly in Z[xi_{q ell}] and projected back into Q(xi_q).
+    computed exactly in Z[xi_{q ell}].  It lies in Q(xi_q), so it is its
+    trace from Q(xi_{q ell}) divided by the degree ell - 1.
     """
     from .numberfield import NumberField
 
@@ -260,9 +268,12 @@ def kummer_generator(ell, q):
     a_vec = resolvent
     for _ in range(q - 1):
         a_vec = _cyclic_mul(resolvent, a_vec)
-    K = NumberField.cyclotomic(q)
-    coords = _project_to_cyclotomic_subfield(a_vec, n, ell, q)
-    a = K.element(coords)
+    # ell == 1 mod q, so xi_n^i = xi_q^i xi_ell^t with t == 0 mod ell iff ell | i,
+    # and the trace of xi_ell^t to Q(xi_q) is ell - 1 if t == 0 mod ell, else -1
+    trace = [0] * q
+    for i, c in enumerate(a_vec):
+        trace[i % q] += c * (ell - 1 if i % ell == 0 else -1)
+    a = NumberField.cyclotomic(q).element([c / (ell - 1) for c in _cyclotomic_coords(trace, q)])
     if a.is_zero():
         raise NormforgeError("Lagrange resolvent vanished; no Kummer generator")
     return a, Hdata
@@ -271,68 +282,17 @@ def kummer_generator(ell, q):
 def real_cyclotomic_minpoly(m):
     """Minimal polynomial of 2 cos(2 pi / m) over Q, exact.
 
-    Solved by linear algebra in Q[x]/Phi_m on the powers of beta = xi + xi^(-1);
-    the degree is phi(m)/2 for m > 2.
+    The orbit product over the conjugates xi^k + xi^(-k), k a unit mod m with
+    k < m/2; the degree is phi(m)/2 for m > 2.
     """
-    from .intfunc import euler_phi
-
     if m < 3:
         raise NormforgeError("m must be at least 3")
-    d = euler_phi(m) // 2
-    beta = _root_power(m, 1)
-    beta[m - 1] = 1
-    power = _root_power(m, 0)
-    coords = [_cyclotomic_coords(power, m)]
-    for _ in range(d):
-        power = _cyclic_mul(beta, power)
-        coords.append(_cyclotomic_coords(power, m))
-    dim = len(coords[0])
-    mat = [[coords[k][i] for k in range(d)] for i in range(dim)]
-    rhs = [-x for x in coords[d]]
-    sol = _solve_linear(mat, rhs)
-    if sol is None:
-        raise AssertionError("power basis of 2cos(2pi/m) is degenerate")
-    poly = UniPoly(list(sol) + [Fraction(1)])
+    roots = []
+    for k in range(1, (m + 1) // 2):
+        if gcd(k, m) == 1:
+            root = _root_power(m, k)
+            root[m - k] = 1
+            roots.append(root)
+    poly = _orbit_polynomial(roots, m)
     assert is_irreducible_over_q(poly)
     return poly
-
-
-def _project_to_cyclotomic_subfield(vec, n, ell, q):
-    """Coordinates of vec in the power basis of Q(xi_q), xi_q = xi_n^ell."""
-    basis = [_cyclotomic_coords(_root_power(n, ell * i), n) for i in range(q - 1)]
-    rhs = _cyclotomic_coords(vec, n)
-    mat = [[b[i] for b in basis] for i in range(len(rhs))]
-    sol = _solve_linear(mat, rhs)
-    if sol is None:
-        raise NormforgeError("element does not lie in the cyclotomic subfield")
-    return sol
-
-
-def _solve_linear(mat, rhs):
-    """Exact solution of an overdetermined consistent system, else None."""
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    aug = [list(row) + [r] for row, r in zip(mat, rhs)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][c]
-        aug[r] = [v / scale for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    sol = [Fraction(0)] * cols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][cols]
-    for i in range(rows):
-        if sum(mat[i][j] * sol[j] for j in range(cols)) != rhs[i]:
-            return None
-    return sol

@@ -101,19 +101,8 @@ class CurvePoint:
 
 
 def multiply_point(E, P, n):
-    """Exact [n]P by double-and-add; [0]P is infinity, [-n]P = -[n]P."""
-    if n == 0:
-        return E.infinity()
-    if n < 0:
-        return -multiply_point(E, P, -n)
-    result = E.infinity()
-    base = P
-    while n:
-        if n & 1:
-            result = result + base
-        base = base + base
-        n >>= 1
-    return result
+    """Exact [n]P; [0]P is infinity, [-n]P = -[n]P."""
+    return MultipleCache(E, P).point(n)
 
 
 class MultipleCache:

@@ -117,19 +117,23 @@ class LocalPrime:
         u_r^(-alpha v), u_r the radicand's own unit residue.  twist =
         (u_r_residue, alpha); the residue field is unchanged.
         """
-        tracked = {}
-        for key, t in self.tracked.items():
-            v = t.v * e_mult
-            if e_mult == 1 or t.v == 0:
-                res, fresh = t.residue, t.fresh
-            elif twist is not None and twist[0] is not None and t.fresh and t.residue is not None:
-                u_r_res, alpha = twist
-                group = u_r_res.field.order - 1
-                expo = (-alpha * t.v) % group
-                res, fresh = t.residue * (u_r_res ** expo), True
-            else:
-                res, fresh = t.residue, False
-            tracked[key] = Tracked(v, res, fresh)
+        if e_mult == 1:
+            tracked = dict(self.tracked)  # Tracked entries are never mutated, so they are shared
+        else:
+            tracked = {}
+            for key, t in self.tracked.items():
+                v = t.v * e_mult
+                if t.v == 0:
+                    res, fresh = t.residue, t.fresh
+                elif (twist is not None and twist[0] is not None
+                      and t.fresh and t.residue is not None):
+                    u_r_res, alpha = twist
+                    group = u_r_res.field.order - 1
+                    expo = (-alpha * t.v) % group
+                    res, fresh = t.residue * (u_r_res ** expo), True
+                else:
+                    res, fresh = t.residue, False
+                tracked[key] = Tracked(v, res, fresh)
         return LocalPrime(
             self.p,
             self.e * e_mult,

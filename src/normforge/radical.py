@@ -345,46 +345,29 @@ def verify_proposition(kind, spec, target_prime=None):
     ConclusionViolation.  When they do not pass, HypothesisFail carries the
     report (attribute `report`) listing which failed.
     """
-    if kind in ("badprime", "fixorder") and spec.variant != XBC:
-        raise NormforgeError(f"{kind} needs the XBC variant")
-    if kind in ("badprimeq", "fixorderq") and spec.variant != XDA:
-        raise NormforgeError(f"{kind} needs the XDA variant")
+    if kind not in ("badprime", "badprimeq", "fixorder", "fixorderq"):
+        raise NormforgeError(f"unknown proposition kind {kind!r}")
+    at_q = kind.endswith("q")
+    if spec.variant != (XDA if at_q else XBC):
+        raise NormforgeError(f"{kind} needs the {'XDA' if at_q else 'XBC'} variant")
+    if kind.startswith("badprime") and target_prime is None:
+        raise NormforgeError(f"{kind} needs a target prime")
     report = PropositionReport(kind, spec)
-    if kind == "badprime":
-        if target_prime is None:
-            raise NormforgeError("badprime needs a target prime")
-        _badprime_hypotheses(report, spec, target_prime)
+    if target_prime is not None:
+        (_badprimeq_hypotheses if at_q else _badprime_hypotheses)(report, spec, target_prime)
         if not report.hypotheses_pass:
             err = HypothesisFail(report.failed_indices())
             err.report = report
             raise err
-        leaves = build_tower(spec, primes=[target_prime])[target_prime]
-        report.local_trace[target_prime] = leaves
-        _check_badprime_conclusions(report, spec, leaves)
-    elif kind == "badprimeq":
-        if target_prime is None:
-            raise NormforgeError("badprimeq needs a target prime")
-        _badprimeq_hypotheses(report, spec, target_prime)
-        if not report.hypotheses_pass:
-            err = HypothesisFail(report.failed_indices())
-            err.report = report
-            raise err
-        leaves = build_tower(spec, primes=[target_prime])[target_prime]
-        report.local_trace[target_prime] = leaves
-        _check_badprimeq_conclusions(report, spec, target_prime, leaves)
-    elif kind in ("fixorder", "fixorderq"):
-        if target_prime is not None:
-            if kind == "fixorder":
-                _badprime_hypotheses(report, spec, target_prime)
-            else:
-                _badprimeq_hypotheses(report, spec, target_prime)
-            if not report.hypotheses_pass:
-                err = HypothesisFail(report.failed_indices())
-                err.report = report
-                raise err
+    if kind.startswith("fixorder"):
         _check_fixorder_conclusions(report, spec, kind)
     else:
-        raise NormforgeError(f"unknown proposition kind {kind!r}")
+        leaves = build_tower(spec, primes=[target_prime])[target_prime]
+        report.local_trace[target_prime] = leaves
+        if at_q:
+            _check_badprimeq_conclusions(report, spec, target_prime, leaves)
+        else:
+            _check_badprime_conclusions(report, spec, leaves)
     return report
 
 

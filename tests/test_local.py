@@ -73,6 +73,17 @@ def test_missing_trace():
         radical_children(lp, "ghost", 3)
 
 
+def test_child_tables_stay_separate():
+    # an unramified child shares the parent's entries but not its table
+    lp = make_lp(7)
+    lp.track("u", 1, FiniteField(7).element(3))
+    kid = lp.child(f_mult=2)
+    kid.track("w", 2)
+    lp.track("z", 0)
+    assert sorted(lp.tracked) == ["u", "z"] and sorted(kid.tracked) == ["u", "w"]
+    assert kid.get("u").v == 1 and kid.get("u").residue == lp.get("u").residue
+
+
 def test_radical_children_without_xi():
     # x^5 - u at p with 5 not dividing p^f - 1: one root plus orbits
     lp = make_lp(3)  # 3^1 - 1 = 2, 5 does not divide
