@@ -1,12 +1,16 @@
 """Roots in a number field from the degrees of the Trager norm's factors."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from normforge.cyclic import gaussian_period_subfield
 from normforge.errors import NormforgeError
-from normforge.kpoly import has_primitive_root_of_unity, has_root_in_field
+from normforge.kpoly import has_primitive_root_of_unity, has_root_in_field, norm_poly
 from normforge.numberfield import NumberField
-from normforge.polyq import UniPoly
+from normforge.polyq import UniPoly, cyclotomic_poly, resultant
+from normforge.zfactor import factor_over_q
 
 
 @pytest.mark.parametrize("q, ms", [(3, (1, 3, 4, 5, 6, 8, 9, 12)), (5, (3, 5, 8, 12))])
@@ -45,3 +49,36 @@ def test_period_polynomial_roots():
 def test_root_test_refuses_a_repeated_factor():
     with pytest.raises(NormforgeError, match="squarefree"):
         has_root_in_field(NumberField.cyclotomic(3), UniPoly([1, 2, 1]))
+
+
+def _norm_cases():
+    rng = random.Random(1976)
+    cases = [(5, cyclotomic_poly(5), 1), (7, cyclotomic_poly(7), 1)]
+    for _ in range(8):
+        h = UniPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1])
+        cases.append((rng.choice([3, 4, 5, 8, 9]), h, rng.randint(0, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("m, h, s", _norm_cases(), ids=str)
+def test_norm_poly_matches_the_euclidean_resultant(m, h, s):
+    # N_s(y0) = Res_x(f(x), h(y0 - s*x)), also between and beyond the
+    # interpolation nodes 0 .. n*deg(h)
+    field = NumberField.cyclotomic(m)
+    N = norm_poly(field, h, s)
+    assert N.degree == field.degree * h.degree and N.is_monic()
+    for y0 in (Fraction(k, 2) for k in range(-3, 2 * N.degree + 4)):
+        assert N(y0) == resultant(field.poly, h(UniPoly([y0, -s])))
+
+
+@pytest.mark.parametrize("field, h, has_root", [
+    (NumberField.cyclotomic(5), cyclotomic_poly(5), True),
+    (NumberField.cyclotomic(7), cyclotomic_poly(7), True),
+    # roots +-sqrt2 +- sqrt3: N_1 = (y^2 - 3)^2 (y^4 - 22y^2 + 25) has a
+    # factor of degree 2, yet no root lies in Q(sqrt2)
+    (NumberField(UniPoly([-2, 0, 1])), UniPoly([1, 0, -10, 0, 1]), False),
+], ids=["zeta5", "zeta7", "sqrt2"])
+def test_a_first_shift_norm_with_a_repeated_factor_is_skipped(field, h, has_root):
+    _, factors = factor_over_q(norm_poly(field, h, 1))
+    assert any(mult > 1 for _, mult in factors)
+    assert has_root_in_field(field, h) == has_root

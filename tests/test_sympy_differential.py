@@ -1,5 +1,5 @@
-"""Factorization over Q and over F_p checked against sympy, when sympy is
-installed.
+"""Factorization over Q and over F_p, gcds, squarefree decompositions and
+field norms checked against sympy, when sympy is installed.
 
 sympy is not a dependency of the package; without it this module is skipped.
 """
@@ -13,7 +13,8 @@ sympy = pytest.importorskip("sympy")
 
 from normforge import zfactor  # noqa: E402
 from normforge.modp import factor_poly_mod_p  # noqa: E402
-from normforge.polyq import UniPoly  # noqa: E402
+from normforge.numberfield import NumberField  # noqa: E402
+from normforge.polyq import UniPoly, poly_gcd, yun_squarefree  # noqa: E402
 from normforge.zfactor import factor_over_q, is_irreducible_over_q  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -115,3 +116,54 @@ def _mul_ints(a, b):
 @pytest.mark.parametrize("f, p", _seeded_cases_mod_p(), ids=lambda v: str(v))
 def test_factor_poly_mod_p_matches_sympy(f, p):
     assert factor_poly_mod_p(f, p) == _sympy_factorization_mod_p(f, p)
+
+
+def _sympy_poly(f):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
+                      X, domain="QQ")
+
+
+def _from_sympy(g):
+    return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())])
+
+
+def _seeded_pairs():
+    rng = random.Random(1971)
+    pairs = []
+    for _ in range(30):
+        g = _random_poly(rng, rng.randint(0, 3)) ** rng.choice([1, 2])
+        a = g * _random_poly(rng, rng.randint(0, 4))
+        b = g * _random_poly(rng, rng.randint(0, 4)).scale(Fraction(1, rng.randint(1, 6)))
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("a, b", _seeded_pairs(), ids=str)
+def test_poly_gcd_matches_sympy(a, b):
+    assert poly_gcd(a, b) == _from_sympy(_sympy_poly(a).gcd(_sympy_poly(b)).monic())
+
+
+@pytest.mark.parametrize("f", [f for f in _seeded_cases() if f.degree > 0],
+                         ids=lambda f: str(f.int_coeffs()))
+def test_yun_squarefree_matches_sympy(f):
+    _, want = _sympy_poly(f).sqf_list()
+    assert yun_squarefree(f) == [(_from_sympy(g.monic()), mult) for g, mult in want]
+
+
+def _seeded_elements():
+    rng = random.Random(1976)
+    fields = [NumberField(UniPoly(f)) for f in ([1, 0, 1], [-2, 0, 0, 1], [1, 0, -10, 0, 1])]
+    fields += [NumberField.cyclotomic(m) for m in (5, 7, 9, 12)]
+    cases = []
+    for field in fields:
+        for _ in range(4):
+            cases.append(field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                        for _ in range(field.degree)]))
+    return cases
+
+
+@pytest.mark.parametrize("alpha", _seeded_elements(), ids=str)
+def test_field_norm_matches_sympy_resultant(alpha):
+    # for monic f, Res(f, a) = prod a(theta_i) = N(a(theta))
+    want = sympy.resultant(_sympy_poly(alpha.field.poly), _sympy_poly(alpha.poly()))
+    assert alpha.norm() == Fraction(str(want))
