@@ -10,15 +10,18 @@ For a shift s with
 squarefree, the irreducible factors of h over K match the irreducible
 factors of N_s over Q one to one, a factor of degree k matching one of
 degree k*n.  So h has a root in K exactly when N_s has a factor over Q of
-degree n, and no arithmetic in K[y] is needed.  N_s is computed by
-evaluation at n*deg(h) + 1 rational points followed by exact Lagrange
-interpolation, which avoids bivariate resultant code entirely.
+degree n, and no arithmetic in K[y] is needed.  Squarefreeness is read off
+the factorization itself: a shift is accepted when every multiplicity is 1.
+
+Since f is monic, N_s(k) is the field norm of h(k - s*theta).  The values
+at n*deg(h) + 1 integers k are norms in K, each one integer determinant,
+and exact Lagrange interpolation gives N_s.
 """
 
 from fractions import Fraction
 
 from .errors import NormforgeError
-from .polyq import UniPoly, cyclotomic_poly, poly_gcd, resultant, squarefree_part
+from .polyq import UniPoly, cyclotomic_poly, poly_gcd
 from .zfactor import factor_over_q
 
 
@@ -50,17 +53,10 @@ def _lagrange_interpolate(points):
 
 
 def norm_poly(field, h, s):
-    """N_s(y) = Res_x(f(x), h(y - s*x)) by evaluation and interpolation."""
-    n = field.degree
-    d = h.degree
-    deg = n * d
-    pts = []
-    for k in range(deg + 1):
-        y0 = Fraction(k)
-        inner = UniPoly([y0, Fraction(-s)])  # y0 - s*x
-        val = resultant(field.poly, h.compose(inner))
-        pts.append((y0, val))
-    return _lagrange_interpolate(pts)
+    """N_s(y) = Res_x(f(x), h(y - s*x)) from the norms N(h(k - s*theta))."""
+    shift = s * field.gen()
+    return _lagrange_interpolate([(k, h(field.element(k) - shift).norm())
+                                  for k in range(field.degree * h.degree + 1)])
 
 
 def has_root_in_field(field, h):
@@ -68,19 +64,14 @@ def has_root_in_field(field, h):
     h = h.monic()
     if h.degree == 0:
         return False
-    if poly_gcd(h, h.derivative()).degree > 0:
+    if h.is_zero() or poly_gcd(h, h.derivative()).degree > 0:
         raise NormforgeError("has_root_in_field expects a squarefree input")
-    # N_0 = +-h^[K:Q] is squarefree only when K = Q
+    # N_0 = +-h^[K:Q] is squarefree only when K = Q; N_s is monic, never zero
     for s in range(0 if field.degree == 1 else 1, 32):
-        N = norm_poly(field, h, s)
-        if N.is_zero():
-            continue
-        if squarefree_part(N).degree == N.degree:
-            break
-    else:
-        raise NormforgeError("no squarefree norm shift found")
-    _, nfactors = factor_over_q(N)
-    return any(Ni.degree == field.degree for Ni, _ in nfactors)
+        _, factors = factor_over_q(norm_poly(field, h, s))
+        if all(mult == 1 for _, mult in factors):
+            return any(g.degree == field.degree for g, _ in factors)
+    raise NormforgeError("no squarefree norm shift found")
 
 
 def has_primitive_root_of_unity(field, q):

@@ -30,6 +30,7 @@ from fractions import Fraction
 from .errors import MissingTrace, NormforgeError
 from .finitefield import power_test_in_extension
 from .intfunc import multiplicative_order, valuation_fraction
+from .modp import _frac_mod
 
 
 class LocalVerdict:
@@ -352,8 +353,8 @@ def hilbert_symbol(a, b, place):
     beta = valuation_fraction(b, p)
     u = a / Fraction(p) ** alpha
     v = b / Fraction(p) ** beta
-    u_int = u.numerator * pow(u.denominator, -1, p ** 3 if p == 2 else p) % (p ** 3 if p == 2 else p)
-    v_int = v.numerator * pow(v.denominator, -1, p ** 3 if p == 2 else p) % (p ** 3 if p == 2 else p)
+    u_int = _frac_mod(u, 8 if p == 2 else p)
+    v_int = _frac_mod(v, 8 if p == 2 else p)
     if p == 2:
         expo = _eps(u_int) * _eps(v_int) + alpha * _omega(v_int) + beta * _omega(u_int)
         return -1 if expo % 2 else 1

@@ -32,6 +32,7 @@ products, each step x^(p^d) -> x^(p^(d+1)) is one matrix-vector product
 instead of a powering by p.
 """
 
+import math
 import random
 
 from .errors import NormforgeError
@@ -330,8 +331,9 @@ def factor_poly_mod_p(f, p):
     return out
 
 
-def _frac_mod(c, p):
-    if c.denominator % p == 0:
+def _frac_mod(c, m):
+    """The rational c as a residue mod m; its denominator must be a unit."""
+    if math.gcd(c.denominator, m) != 1:
         raise NormforgeError("coefficient denominator divisible by p")
-    return c.numerator * pow(c.denominator, -1, p) % p
+    return c.numerator * pow(c.denominator, -1, m) % m
 

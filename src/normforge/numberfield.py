@@ -36,6 +36,8 @@ from .finitefield import FiniteField, power_residue_test
 from .hensel import crt_idempotents, lift_blocks
 from .intfunc import centered_residue, crt, factorint, is_prime, valuation_int
 from .modp import (
+    _convolve,
+    _frac_mod,
     factor_poly_mod_p,
     padd,
     pdivmod,
@@ -224,11 +226,7 @@ class FieldElement:
         a, da = _cleared(self.coords)
         b, db = _cleared(other.coords)
         n = len(a)
-        conv = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
+        conv = _convolve(a, b)
         red = conv[:n]
         for c, row in zip(conv[n:], self.field.high_powers()):
             if c:
@@ -627,8 +625,7 @@ class TowerEdge:
 
     def __init__(self, lower, upper, image):
         image = upper.element(image)
-        val = lower.poly.compose(image.poly()) % upper.poly
-        if not val.is_zero():
+        if not lower.poly(image).is_zero():
             raise NormforgeError("image does not satisfy the lower defining polynomial")
         self.lower = lower
         self.upper = upper
@@ -640,11 +637,7 @@ class TowerEdge:
         Matching: P_upper lies over P_lower iff the pushed two-element
         generator g_lower(image) has positive valuation at P_upper.
         """
-        g_low = UniPoly([Fraction(c) for c in P_lower.g])
-        gen_img = g_low.compose(self.image.poly()) % self.upper.poly
-        witness = self.upper.element(
-            list(gen_img.coeffs) + [Fraction(0)] * (self.upper.degree - len(gen_img.coeffs))
-        )
+        witness = UniPoly(P_lower.g)(self.image)
         out = []
         for P_up in splitting_type(self.upper, P_lower.p):
             v = INF if witness.is_zero() else valuation(self.upper, P_up, witness)
@@ -654,10 +647,6 @@ class TowerEdge:
                 assert P_up.e % P_lower.e == 0 and P_up.f_deg % P_lower.f_deg == 0
                 out.append((P_up, e_rel, f_rel))
         return out
-
-
-def _pad(poly, n):
-    return list(poly.coeffs) + [Fraction(0)] * (n - len(poly.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +662,7 @@ def uniformizer(field, P):
     siblings = [Q for Q in splitting_type(field, p) if Q != P]
     if not siblings and P.e == 1:
         return field.element(p)
-    g_mod = UniPoly([Fraction(c) for c in P.g]) % field.poly
-    gtheta = field.element(_pad(g_mod, field.degree))
+    gtheta = UniPoly(P.g)(field.gen())
     for j in range(UNIFORMIZER_TRIES):
         cand = gtheta + field.element(p * j)
         if cand.is_zero():
@@ -783,12 +771,7 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
 
 
 def _int_coeff_vector(elem, q):
-    out = []
-    for c in elem.coords:
-        if math.gcd(c.denominator, q) != 1:
-            raise NormforgeError("congruence target has a denominator at p")
-        out.append(c.numerator * pow(c.denominator, -1, q) % q)
-    return trim(out)
+    return trim([_frac_mod(c, q) for c in elem.coords])
 
 
 def _reduce_mod_f(vec, field, q):

@@ -93,6 +93,8 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise NormforgeError(f"negative power {n} of a polynomial")
         result = UniPoly.one()
         base = self
         while n:
@@ -133,7 +135,11 @@ class UniPoly:
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
-        """Evaluate by Horner; accepts Fraction, int, float, or complex."""
+        """Evaluate by Horner at a number, a UniPoly or a FieldElement.
+
+        This is the one substitution path: self(inner) is the composition and
+        self(alpha) the image of alpha in its number field.
+        """
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -177,20 +183,6 @@ class UniPoly:
             raise NormforgeError("polynomial is not integral")
         return [c.numerator for c in self.coeffs]
 
-    def shift(self, a):
-        """self(x + a)."""
-        out = UniPoly.zero()
-        xa = UniPoly([Fraction(a), 1])
-        for c in reversed(self.coeffs):
-            out = out * xa + UniPoly([c])
-        return out
-
-    def compose(self, inner):
-        out = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            out = out * inner + UniPoly([c])
-        return out
-
     def __repr__(self):
         if self.is_zero():
             return "UniPoly(0)"
@@ -225,7 +217,8 @@ def poly_gcd(a, b):
 
 
 def resultant(f, g):
-    """Res(f, g) over Q via the Euclidean recursion, exact."""
+    """Res(f, g) over Q via the Euclidean recursion, exact: an independent
+    reference for the integer determinants of `numberfield`."""
     if f.is_zero() or g.is_zero():
         return Fraction(0)
     res = Fraction(1)
@@ -240,12 +233,6 @@ def resultant(f, g):
         dr = r.degree
         res *= Fraction((-1) ** (da * db)) * b.leading() ** (da - dr)
         a, b = b, r
-
-
-def squarefree_part(f):
-    """f / gcd(f, f'), monic."""
-    g = poly_gcd(f, f.derivative())
-    return (f // g).monic()
 
 
 def yun_squarefree(f):

@@ -32,8 +32,10 @@ from .errors import (
     NormforgeError,
 )
 from .finitefield import power_residue_test
+from .intfunc import is_prime
 from .kpoly import has_primitive_root_of_unity
 from .local import LocalPrime, radical_children
+from .modp import _frac_mod
 from .numberfield import (
     element_support,
     residue_map,
@@ -54,6 +56,8 @@ class RadicalTowerSpec:
     def __init__(self, field, q, variant, x, second, third, nonsplit_certificate=None):
         if variant not in (XBC, XDA):
             raise NormforgeError(f"unknown variant {variant!r}")
+        if not is_prime(q):
+            raise NormforgeError("q must be prime")
         self.field = field
         self.q = q
         self.variant = variant
@@ -334,7 +338,7 @@ def two_adic_inert(a, q, P):
     a = a.as_rational()
     if a.denominator % 2 == 0 or a.numerator % 2 == 0:
         return False
-    return a.numerator * pow(a.denominator, -1, 8) % 8 == 5
+    return _frac_mod(a, 8) == 5
 
 
 def verify_proposition(kind, spec, target_prime=None):

@@ -27,6 +27,7 @@ from .intfunc import (
     valuation_fraction,
     valuation_int,
 )
+from .modp import _frac_mod
 from .polyq import UniPoly
 
 
@@ -216,7 +217,7 @@ def _radical_children(node, p, k, u, xi_known):
     if group % k == 0:
         from .finitefield import FiniteField, power_test_in_extension
 
-        r = FiniteField(p).element(u.numerator * pow(u.denominator, -1, p))
+        r = FiniteField(p).element(_frac_mod(u, p))
         if power_test_in_extension(r, k, node.f):
             return [(node.e, node.f, False, "split: residue is a k-th power")] * k
         if is_prime(k):

@@ -384,7 +384,7 @@ def test_criterion_9_kronecker_interval():
     for m in (5, 7, 9, 11, 13):
         cos_poly = real_cyclotomic_minpoly(m)
         # 4 cos^2(pi/m) = 2 + 2 cos(2 pi/m): substitute y -> y - 2
-        shifted = cos_poly.shift(-2)
+        shifted = cos_poly(UniPoly([-2, 1]))
         field = NumberField(shifted, name=f"Q(4cos^2(pi/{m}))", check_irreducible=False)
         lo, hi = conjugate_interval(field.gen(), width=Fraction(1, 10 ** 6))
         assert lo.lo > 0, f"m = {m}: lower conjugate bound not strictly positive"

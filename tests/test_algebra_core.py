@@ -15,6 +15,7 @@ from normforge.errors import NormforgeError, NotSquarefreeAtP, ZeroResidue
 from normforge.finitefield import FiniteField, power_residue_test, power_test_in_extension
 from normforge.hensel import hensel_lift_factorization, lift_blocks
 from normforge.modp import (
+    _frac_mod,
     distinct_degree,
     factor_poly_mod_p,
     is_irreducible_mod_p,
@@ -397,6 +398,15 @@ def test_divisor_whose_top_vanishes_mod_p_is_trimmed():
             fn([1, 1], [5, 10], 5)
     with pytest.raises(ValueError):
         pmod([1, 1], [1, 3], 9)  # 3 is not a unit mod 9 and does not vanish
+
+
+def test_rational_residue_mod_a_prime_power():
+    assert _frac_mod(Fraction(3, 5), 8) == 7  # 5 * 7 == 3 mod 8
+    assert _frac_mod(Fraction(-2, 9), 7) == 6  # 9 * 6 == -2 mod 7
+    # 2 divides 8 without 8 dividing 2: the denominator is still not a unit
+    for c, m in ((Fraction(1, 2), 8), (Fraction(1, 6), 9), (Fraction(1, 7), 7)):
+        with pytest.raises(NormforgeError):
+            _frac_mod(c, m)
 
 
 def test_power_residue_worked_examples():

@@ -114,6 +114,19 @@ def test_compile_rejects_q_not_prime(q):
     assert (report["error"], report["message"]) == ("NormforgeError", "q must be prime")
 
 
+@pytest.mark.parametrize("command", [["verify", "prop", "--kind", "badprime", "--prime", "7",
+                                      "--spec"],
+                                     ["normeq", "analyze", "--instance"]])
+def test_tower_commands_reject_q_not_prime(tmp_path, capsys, command):
+    # q = 4 over Q(i): the prime-only rules would report on an invalid instance
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(README_SPEC, field={"poly": ["1", "0", "1"]}, q=4)))
+    code, out = run_cli(command + [str(path)], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert (report["error"], report["message"]) == ("NormforgeError", "q must be prime")
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     for _ in range(2):

@@ -22,6 +22,7 @@ from normforge.compiler import (
 )
 from normforge.errors import IncompleteAssignment, NormforgeError
 from normforge.multipoly import MultiPoly
+from normforge.polyq import UniPoly
 
 
 def test_norm_poly_q2_exact():
@@ -218,6 +219,13 @@ def test_multipoly_negative_power_raises():
     with pytest.raises(NormforgeError):
         MultiPoly.var(2, 0) ** -1
     assert MultiPoly.var(2, 0) ** 0 == MultiPoly.const(2, 1)
+
+
+def test_unipoly_negative_power_raises():
+    # -1 >> 1 == -1, so square-and-multiply on k < 0 would never stop
+    with pytest.raises(NormforgeError):
+        UniPoly([1, 1]) ** -1
+    assert UniPoly([1, 1]) ** 0 == UniPoly.one()
 
 
 def test_multipoly_from_json_accumulates_like_init():

@@ -158,7 +158,7 @@ def test_kummer_generator_properties():
 
     charpoly = _lagrange_interpolate(pts)
     # substitute y -> x^3 to get the absolute polynomial of a^(1/3)
-    absolute = charpoly.compose(UniPoly([0, 0, 0, 1]))
+    absolute = charpoly(UniPoly([0, 0, 0, 1]))
     assert absolute.degree == 6
     assert is_irreducible_over_q(absolute)
 

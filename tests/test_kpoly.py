@@ -49,6 +49,9 @@ def test_period_polynomial_roots():
 def test_root_test_refuses_a_repeated_factor():
     with pytest.raises(NormforgeError, match="squarefree"):
         has_root_in_field(NumberField.cyclotomic(3), UniPoly([1, 2, 1]))
+    # every square divides the zero polynomial
+    with pytest.raises(NormforgeError, match="squarefree"):
+        has_root_in_field(NumberField.cyclotomic(3), UniPoly.zero())
 
 
 def _norm_cases():
