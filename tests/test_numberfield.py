@@ -60,6 +60,10 @@ def _coords(poly, n):
     return list(poly.coeffs) + [Fraction(0)] * (n - len(poly.coeffs))
 
 
+def _assert_lowest_terms(elem):
+    assert len(elem.coords) == elem.field.degree
+
+
 def test_element_arithmetic_matches_unipoly_reference():
     rng = random.Random(2024)
     for field in _seeded_fields(rng):
@@ -78,6 +82,60 @@ def test_element_arithmetic_matches_unipoly_reference():
             assert (x ** 3).coords == _coords(A ** 3 % f, n)
             assert (x ** -2).coords == _coords(inv * inv % f, n)
             assert x.norm() == resultant(f, A)
+
+
+def test_every_operation_matches_a_fraction_polynomial_reference():
+    rng = random.Random(1409)
+    fields = _seeded_fields(rng)[:8] + [K3, GOLDEN, NumberField.cyclotomic(7)]
+    for field in fields:
+        f, n = field.poly, field.degree
+        for _ in range(5):
+            a = [Fraction(rng.randint(-40, 40), rng.choice([1, 2, 4, 6, 9, 15])) for _ in range(n)]
+            b = [Fraction(rng.randint(-40, 40), rng.choice([1, 3, 8, 10])) for _ in range(n)]
+            m = rng.randint(-12, 12)
+            k = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+            A, B = UniPoly(a), UniPoly(b)
+            x, y = field.element(a), field.element(b)
+            results = [
+                (x + y, A + B), (x - y, A - B), (-x, -A),
+                (x * m, A.scale(m)), (m * x, A.scale(m)),
+                (x * k, A.scale(k)), (k * x, A.scale(k)),
+                (x + m, A + UniPoly([m])), (x - k, A - UniPoly([k])),
+                (x * y, A * B % f), (x ** 0, UniPoly.one()), (x ** 2, A * A % f),
+            ]
+            assert x.norm() == resultant(f, A)
+            if not x.is_zero():
+                inv = _ref_inverse(A, f)
+                results += [(x.inverse(), inv), (y / x, B * inv % f),
+                            (x ** -1, inv), (x ** -3, inv ** 3 % f)]
+            for elem, ref in results:
+                assert elem.coords == _coords(ref, n)
+                _assert_lowest_terms(elem)
+
+
+def test_equal_values_reached_by_different_paths_are_equal_and_hash_equal():
+    for field in (Q, K3, SQRT2, NumberField.cyclotomic(5)):
+        n = field.degree
+        half = field.element([Fraction(2, 4)] + [0] * (n - 1))
+        x = field.element(([Fraction(3, 2), Fraction(-5, 6)] + [Fraction(7, 10)] * n)[:n])
+        pairs = [
+            (half, field.element([1] + [0] * (n - 1)) * Fraction(1, 2)),
+            (half, field.element(Fraction(1, 2))),
+            (half, field.one() / 2),
+            (field.element(3), field.element(Fraction(6, 2))),
+            (field.zero(), x - x),
+            (field.zero(), x * 0),
+            (field.one(), x * x.inverse()),
+            (x, (x * x) / x),
+            (x, x.inverse().inverse()),
+            (x + x, 2 * x),
+            (x * Fraction(2, 3), x / field.element(Fraction(3, 2))),
+        ]
+        for u, v in pairs:
+            assert u == v and hash(u) == hash(v)
+            assert len({u, v}) == 1
+            assert hash(u) == hash((field, tuple(u.coords)))
+        assert half != field.one() and x != x + 1
 
 
 def test_inverse_of_zero_and_of_zero_divisors_raises():
