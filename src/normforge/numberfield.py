@@ -4,10 +4,11 @@ Only the order Z[theta] is supported.  Every prime-sensitive operation runs
 the Dedekind criterion first and raises NonMonogenicAtP rather than silently
 computing in a non-maximal order.
 
-Element arithmetic is fraction-free: coordinates are cleared to one integer
-vector over a common denominator, products are reduced through a table of
-theta^k mod f, and inverses and norms come from Bareiss elimination on the
-integer matrix of multiplication by an element (Cohen, GTM 138, section 4.2).
+Element arithmetic is fraction-free: an element is stored as one integer
+vector over a positive denominator, in lowest terms, products are reduced
+through a table of theta^k mod f, and inverses and norms come from Bareiss
+elimination on the integer matrix of multiplication by an element (Cohen,
+GTM 138, section 4.2).  Rational coordinates are built only when read.
 
 Splitting is Kummer-Dedekind: the primes above p correspond to the
 irreducible factors of f mod p, with e = multiplicity and f_deg = degree.
@@ -98,16 +99,16 @@ class NumberField:
     def element(self, coords):
         """Element from power-basis coordinates (length = degree), or a rational."""
         if isinstance(coords, FieldElement):
-            if coords.field != self:
+            if coords.field is not self and coords.field != self:
                 raise NormforgeError("element belongs to another field")
             return coords
         if isinstance(coords, (int, Fraction)):
-            vec = [Fraction(coords)] + [Fraction(0)] * (self.degree - 1)
-            return FieldElement(self, vec)
-        vec = [Fraction(c) for c in coords]
+            num = [coords.numerator] + [0] * (self.degree - 1)
+            return FieldElement(self, num, coords.denominator)
+        vec = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
         if len(vec) != self.degree:
             raise NormforgeError("coordinate length must equal the field degree")
-        return FieldElement(self, vec)
+        return FieldElement(self, *_cleared(vec))
 
     def gen(self):
         if self.degree == 1:
@@ -169,24 +170,42 @@ def _poly_label(poly):
 
 
 class FieldElement:
-    """Element of a NumberField in the power basis of theta."""
+    """Element num(theta) / den of a NumberField, in the power basis of theta.
 
-    __slots__ = ("field", "coords")
+    num is an integer vector of length degree and den a positive integer with
+    gcd(den, *num) == 1, so zero is [0, ..., 0] over 1.
+    """
 
-    def __init__(self, field, coords):
+    __slots__ = ("field", "num", "den", "_coords")
+
+    def __init__(self, field, num, den):
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
         self.field = field
-        self.coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
+        self.num = num
+        self.den = den
+        self._coords = None
+
+    @property
+    def coords(self):
+        """The coordinates as Fractions, built on first read."""
+        if self._coords is None:
+            self._coords = [Fraction(c, self.den) for c in self.num]
+        return self._coords
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise NormforgeError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def poly(self):
         return UniPoly(self.coords)
@@ -194,8 +213,9 @@ class FieldElement:
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coords == other.coords
+            and (self.field is other.field or self.field == other.field)
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
@@ -203,37 +223,37 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise NormforgeError("mixed fields")
             return other
         return self.field.element(other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field, [a + b for a, b in zip(self.coords, other.coords)])
+        da, db = self.den, other.den
+        return FieldElement(self.field, [a * db + b * da for a, b in zip(self.num, other.num)], da * db)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field, [a - b for a, b in zip(self.coords, other.coords)])
+        da, db = self.den, other.den
+        return FieldElement(self.field, [a * db - b * da for a, b in zip(self.num, other.num)], da * db)
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, [a * other for a in self.coords])
+            k = other.numerator
+            return FieldElement(self.field, [a * k for a in self.num], self.den * other.denominator)
         other = self._coerce(other)
-        a, da = _cleared(self.coords)
-        b, db = _cleared(other.coords)
-        n = len(a)
-        conv = _convolve(a, b)
+        n = len(self.num)
+        conv = _convolve(self.num, other.num)
         red = conv[:n]
         for c, row in zip(conv[n:], self.field.high_powers()):
             if c:
                 for i, r in enumerate(row):
                     red[i] += c * r
-        den = da * db
-        return FieldElement(self.field, [Fraction(c, den) for c in red])
+        return FieldElement(self.field, red, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -241,9 +261,8 @@ class FieldElement:
         """alpha^-1 by Cramer's rule on the matrix of multiplication by alpha."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0")
-        a, den = _cleared(self.coords)
-        n = len(a)
-        cols = _mult_columns(self.field._ints, a)
+        n = len(self.num)
+        cols = _mult_columns(self.field._ints, self.num)
         # augmented rows [M | e_0]: M x = e_0 holds the coordinates of 1 / a
         rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
         det = _bareiss(rows, n)
@@ -253,7 +272,7 @@ class FieldElement:
         for i in range(n - 1, -1, -1):
             r = rows[i]
             y[i] = (det * r[n] - sum(r[j] * y[j] for j in range(i + 1, n))) // r[i]
-        return FieldElement(self.field, [Fraction(den * c, det) for c in y])
+        return FieldElement(self.field, [self.den * c for c in y], det)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -275,15 +294,15 @@ class FieldElement:
         """N_{K/Q}(alpha), the determinant of multiplication by alpha."""
         if self.is_zero():
             return Fraction(0)
-        a, den = _cleared(self.coords)
-        return Fraction(_mult_det(self.field._ints, a), den ** len(a))
+        return Fraction(_mult_det(self.field._ints, self.num), self.den ** len(self.num))
 
     def __repr__(self):
         return f"FieldElement({self.coords} in {self.field.name})"
 
 
 def _cleared(coords):
-    """(integer vector, common denominator d) with coords = vector / d."""
+    """(integer vector, common denominator d) with coords = vector / d, for
+    int and Fraction coords."""
     den = math.lcm(*(c.denominator for c in coords))
     return [c.numerator * (den // c.denominator) for c in coords], den
 
@@ -441,7 +460,7 @@ def local_blocks(field, p, m):
 def _integral_rep(alpha, p):
     """(A, s, d0) with A an integer vector, A(theta) = p^s * d0 * alpha,
     gcd(d0, p) = 1, s = p-part of the coordinate denominators."""
-    A, den = _cleared(alpha.coords)
+    A, den = alpha.num, alpha.den
     s = valuation_int(den, p) if den % p == 0 else 0
     return A, s, den // p ** s
 
@@ -582,7 +601,7 @@ def element_support(field, alpha):
     alpha = field.element(alpha)
     if alpha.is_zero():
         raise NormforgeError("support of 0 is everything")
-    A, den = _cleared(alpha.coords)
+    A, den = alpha.num, alpha.den
     num_res = _mult_det(field._ints, A)
     candidates = set(factorint(den)) if den != 1 else set()
     if num_res != 0:
@@ -761,7 +780,7 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
             coords[0] += bump * modulus_all
             if all(c == 0 for c in coords):
                 continue
-            beta = field.element([Fraction(c) for c in coords])
+            beta = field.element(coords)
             cand = beta * Fraction(1, denom)
             if _verify_constraints(field, cand, valuations, congruences):
                 if positivity and not omega_membership(field, cand, 2):

@@ -1,5 +1,6 @@
 """Number field splitting, valuations, residues, memberships, approximation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -61,7 +62,8 @@ def _coords(poly, n):
 
 
 def _assert_lowest_terms(elem):
-    assert len(elem.coords) == elem.field.degree
+    assert len(elem.num) == elem.field.degree and all(type(c) is int for c in elem.num)
+    assert type(elem.den) is int and elem.den > 0 and math.gcd(elem.den, *elem.num) == 1
 
 
 def test_element_arithmetic_matches_unipoly_reference():

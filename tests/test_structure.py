@@ -189,3 +189,35 @@ def test_every_option_is_set():
                       if arg not in names and None not in names
                       and (i is None or most <= i)]
     assert unset == []
+
+
+def _enclosing_functions(tree, name):
+    """Qualified names of the functions that read `name` as a name or an
+    attribute ("" at module level)."""
+    def walk(node, qualname, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = prefix + child.name
+                yield from walk(child, inner if not isinstance(child, ast.ClassDef) else qualname,
+                                inner + ".")
+            else:
+                if ((isinstance(child, ast.Name) and child.id == name)
+                        or (isinstance(child, ast.Attribute) and child.attr == name)):
+                    yield qualname
+                yield from walk(child, qualname, prefix)
+
+    return set(walk(tree, "", ""))
+
+
+def test_field_elements_have_one_stored_form():
+    # an element is an integer vector over one denominator; its Fraction
+    # coordinates are derived, and clearing runs only on input from rationals
+    from normforge.numberfield import FieldElement
+
+    assert "coords" not in FieldElement.__slots__
+    assert {"num", "den"} <= set(FieldElement.__slots__)
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers |= {f"{path.name}:{qualname}" for qualname in _enclosing_functions(tree, "_cleared")}
+    assert readers == {"numberfield.py:NumberField.element"}
