@@ -25,6 +25,7 @@ from .errors import (
     NormforgeError,
     SearchExhausted,
 )
+from .intfunc import is_prime
 from .local import (
     LocalVerdict,
     hilbert_symbol,
@@ -271,6 +272,8 @@ def integrality_battery(field, x, q, S=()):
     non-q-th-power unit at the target pole.  Poles at factors of q are
     flagged NotCatchable; poles at S-primes are allowed by definition.
     """
+    if not is_prime(q):
+        raise NormforgeError("q must be prime")
     x = field.element(x)
     if x.is_zero():
         raise NormforgeError("x must be nonzero")

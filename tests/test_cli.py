@@ -127,6 +127,15 @@ def test_tower_commands_reject_q_not_prime(tmp_path, capsys, command):
     assert (report["error"], report["message"]) == ("NormforgeError", "q must be prime")
 
 
+@pytest.mark.parametrize("q", ["9", "4"])
+def test_battery_rejects_q_not_prime(capsys, q):
+    # q = 9 would claim that every unit of F_13 is a 9th power; q = 4 failed late
+    code, out = run_cli(["normeq", "battery", "--x", '"1/13"', "--q", q], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert (report["error"], report["message"]) == ("NormforgeError", "q must be prime")
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     for _ in range(2):
