@@ -20,7 +20,8 @@ and exact Lagrange interpolation gives N_s.
 
 from fractions import Fraction
 
-from .errors import NormforgeError
+from .errors import NonMonogenicAtP, NormforgeError
+from .numberfield import splitting_type
 from .polyq import UniPoly, cyclotomic_poly, poly_gcd
 from .zfactor import factor_over_q
 
@@ -75,9 +76,19 @@ def has_root_in_field(field, h):
 
 
 def has_primitive_root_of_unity(field, q):
-    """True iff the field contains a primitive q-th root of unity (q prime)."""
+    """True iff the field contains a primitive q-th root of unity (q prime).
+
+    q is totally ramified in Q(zeta_q), so zeta_q in K forces q - 1 | e(P|q)
+    at every prime P of K above q.  Where Z[theta] is maximal at q, the
+    splitting of q rules most fields out before Trager's test runs.
+    """
     if q == 2:
         return True
     if field.degree % (q - 1) != 0:
         return False
+    try:
+        if any(P.e % (q - 1) for P in splitting_type(field, q)):
+            return False
+    except NonMonogenicAtP:
+        pass
     return has_root_in_field(field, cyclotomic_poly(q))

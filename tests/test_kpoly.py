@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from normforge.cyclic import gaussian_period_subfield
-from normforge.errors import NormforgeError
+from normforge import kpoly
+from normforge.errors import NonMonogenicAtP, NormforgeError
 from normforge.kpoly import has_primitive_root_of_unity, has_root_in_field, norm_poly
-from normforge.numberfield import NumberField
+from normforge.numberfield import NumberField, splitting_type
 from normforge.polyq import UniPoly, cyclotomic_poly, resultant
 from normforge.zfactor import factor_over_q
 
@@ -24,6 +25,31 @@ def test_mu_q_false_although_q_minus_one_divides_the_degree():
     for field in (NumberField.cyclotomic(5), NumberField.cyclotomic(8), NumberField(UniPoly([-5, 0, 1]))):
         assert field.degree % 2 == 0
         assert not has_primitive_root_of_unity(field, 3)
+
+
+def test_mu_q_ruled_out_by_the_ramification_of_q(monkeypatch):
+    # zeta_7 forces 6 | e(P|7), and 7 is unramified in these fields: no Trager
+    # norm is needed, and Q(zeta_13) took about 21 s through one
+    def trager(field, h):
+        raise AssertionError(f"Trager's test ran for {field.name}")
+
+    monkeypatch.setattr(kpoly, "has_root_in_field", trager)
+    for m in (9, 13, 19):
+        assert not has_primitive_root_of_unity(NumberField.cyclotomic(m), 7), m
+    monkeypatch.undo()
+    # the Trager test alone agrees where both are cheap
+    for field in (NumberField.cyclotomic(5), NumberField.cyclotomic(8), NumberField(UniPoly([-5, 0, 1]))):
+        assert not has_root_in_field(field, cyclotomic_poly(3))
+
+
+def test_mu_q_where_z_theta_is_not_maximal_at_q():
+    # theta = 3 * sqrt(-3): Z[theta] is not maximal at 3, so the splitting of 3
+    # cannot be read and Trager's test decides
+    field = NumberField(UniPoly([27, 0, 1]))
+    with pytest.raises(NonMonogenicAtP):
+        splitting_type(field, 3)
+    assert has_primitive_root_of_unity(field, 3)
+    assert has_primitive_root_of_unity(NumberField(UniPoly([3, 0, 1])), 3)
 
 
 def test_mu_q_in_a_non_galois_quartic():
