@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from normforge.cyclic import gaussian_period_subfield
 from normforge import kpoly
+from normforge.cyclic import gaussian_period_subfield
 from normforge.errors import NonMonogenicAtP, NormforgeError
 from normforge.kpoly import has_primitive_root_of_unity, has_root_in_field, norm_poly
 from normforge.numberfield import NumberField, splitting_type
