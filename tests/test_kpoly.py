@@ -10,8 +10,8 @@ from normforge.cyclic import gaussian_period_subfield
 from normforge.errors import NonMonogenicAtP, NormforgeError
 from normforge.kpoly import has_primitive_root_of_unity, has_root_in_field, norm_poly
 from normforge.numberfield import NumberField, splitting_type
-from normforge.polyq import UniPoly, cyclotomic_poly, resultant
-from normforge.zfactor import factor_over_q
+from normforge.polyq import UniPoly, cyclotomic_poly, resultant, yun_squarefree
+from normforge.zfactor import SIEVE_PRIMES, _factor_squarefree_z, _squarefree_mod, factor_over_q
 
 
 @pytest.mark.parametrize("q, ms", [(3, (1, 3, 4, 5, 6, 8, 9, 12)), (5, (3, 5, 8, 12))])
@@ -111,3 +111,40 @@ def test_a_first_shift_norm_with_a_repeated_factor_is_skipped(field, h, has_root
     _, factors = factor_over_q(norm_poly(field, h, 1))
     assert any(mult > 1 for _, mult in factors)
     assert has_root_in_field(field, h) == has_root
+
+
+def _factor_by_yun(f):
+    """factor_over_q's factors through Yun's decomposition for every input."""
+    out = [(g.monic(), mult) for sq, mult in yun_squarefree(f)
+           for g in _factor_squarefree_z(sq.primitive_int())]
+    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
+
+
+def _yun_cases():
+    rng = random.Random(1608)
+
+    def poly(deg):
+        return UniPoly([rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, 2, -3])])
+
+    # squarefree, yet lc = 2 * 3 * ... * 29 leaves no sieve prime to certify it
+    cases = [UniPoly([1, 1, 6469693230]), cyclotomic_poly(21)]
+    cases += [poly(rng.randint(1, 8)) for _ in range(20)]
+    for _ in range(20):
+        f = poly(rng.randint(1, 3)) ** 2
+        for _ in range(rng.randint(0, 2)):
+            f = f * poly(rng.randint(1, 4)) ** rng.choice([1, 2, 3])
+        cases.append(f)
+    return cases
+
+
+def test_factor_over_q_matches_the_yun_path():
+    repeated = 0
+    for f in _yun_cases():
+        ints = f.primitive_int().int_coeffs()
+        _, factors = factor_over_q(f)
+        assert factors == _factor_by_yun(f), f
+        if any(mult > 1 for _, mult in factors):
+            # a repeated factor stays repeated mod every prime not dividing lc
+            assert not any(_squarefree_mod(ints, p) for p in SIEVE_PRIMES)
+            repeated += 1
+    assert repeated >= 20

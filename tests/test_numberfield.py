@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from normforge.errors import NonMonogenicAtP, NormforgeError, NotAUnit
 from normforge.intfunc import valuation_int
+from normforge.modp import pdivmod
 from normforge.numberfield import (
     NumberField,
     TowerEdge,
+    _mult_det,
     conjugate_interval,
     dedekind_criterion_ok,
     element_support,
+    local_blocks,
     omega_membership,
     residue_map,
     residue_nonqth_power,
@@ -218,6 +221,113 @@ def test_residue_map_at_ramified_prime():
     # theta = zeta_3 is a unit at the ramified prime over 3; theta = 1 mod P
     r = residue_map(K3, P3, K3.gen())
     assert list(r.coeffs) == [1]
+
+
+GAUSS = NumberField(UniPoly([1, 0, 1]), name="Q(i)")
+CUBE2 = NumberField(UniPoly([-2, 0, 0, 1]), name="Q(cbrt2)")
+
+# Q(i) at 2 and Q(zeta5) at 5 ramify (e = 2, 4), Q(zeta3) at 7 and Q(zeta5)
+# at 11 split, Q(zeta5) at 19 has f = 2, and 5 = P1 * P2 in Q(cbrt2) with
+# residue degrees 1 and 2
+LOCAL_CASES = [
+    (GAUSS, (2, 3, 5)),
+    (GOLDEN, (2, 5, 11)),
+    (K3, (2, 3, 7)),
+    (NumberField.cyclotomic(5), (2, 5, 11, 19)),
+    (CUBE2, (2, 5, 7)),
+]
+
+
+def _local_elements(rng, field, p, count):
+    """Seeded nonzero elements whose denominators carry 0, 1 and 2 factors of p."""
+    cofactors = [d for d in (1, 3, 7) if d % p]
+    out = []
+    for k in range(count):
+        den = p ** (k % 3) * rng.choice(cofactors)
+        num = [rng.randint(-30, 30) for _ in range(field.degree)]
+        if any(num):
+            out.append(field.element([Fraction(c, den) for c in num]))
+    return out
+
+
+def test_valuation_matches_the_resultant_on_the_lifted_block():
+    # v_P(alpha) = v_p(Res(F, A)) / f - e * s for A = p^s * d0 * alpha and F
+    # the block lifted from g^e, here at a precision far above every value
+    rng = random.Random(1606)
+    m = 40
+    checked = 0
+    for field, ps in LOCAL_CASES:
+        for p in ps:
+            for P in splitting_type(field, p):
+                F = local_blocks(field, p, m)[P.index]
+                for alpha in _local_elements(rng, field, p, 12):
+                    res = _mult_det(F, alpha.num)
+                    assert res % p ** m
+                    v_res = valuation_int(res, p)
+                    assert v_res % P.f_deg == 0
+                    expected = v_res // P.f_deg - P.e * valuation_int(alpha.den, p)
+                    assert valuation(field, P, alpha) == expected
+                    checked += 1
+    assert checked > 250
+
+
+def _residue_by_lift(field, P, alpha):
+    """alpha mod P by the explicit lift: reduce A mod the lifted block,
+    divide out p^s, reduce mod (p, g) and divide by d0; None at a non-unit."""
+    p = P.p
+    s = valuation_int(alpha.den, p)
+    m = 2 * s + 6
+    B = pdivmod(alpha.num, local_blocks(field, p, m)[P.index], p ** m)[1]
+    if any(c % p ** s for c in B):
+        return None
+    red = pdivmod([c // p ** s for c in B], list(P.g), p)[1]
+    if not red:
+        return None
+    k = P.residue_field()
+    return k.element(red) * k.element(pow(alpha.den // p ** s, -1, p))
+
+
+def test_residue_map_matches_lift_and_reduce():
+    rng = random.Random(1607)
+    by_s = {0: 0, 1: 0, 2: 0}
+    for field, ps in LOCAL_CASES:
+        for p in ps:
+            primes = splitting_type(field, p)
+            for P in primes:
+                elements = _local_elements(rng, field, p, 12)
+                if len(primes) > 1:
+                    # pi^e / p is a unit at P with p in its denominator
+                    shift = uniformizer(field, P) ** P.e / p
+                    elements += [a * shift ** j for a in elements if a.den % p for j in (1, 2)]
+                for alpha in elements:
+                    expected = _residue_by_lift(field, P, alpha)
+                    assert (expected is None) == (valuation(field, P, alpha) != 0)
+                    if expected is None:
+                        # with no p in the denominator only the reduction can vanish
+                        with pytest.raises(NotAUnit, match=None if alpha.den % p == 0
+                                           else "reduces to zero"):
+                            residue_map(field, P, alpha)
+                    else:
+                        assert residue_map(field, P, alpha) == expected
+                        by_s[min(valuation_int(alpha.den, p), 2)] += 1
+    assert min(by_s.values()) > 40
+
+
+def test_residue_map_pins_over_gaussian_integers():
+    # 5 = (2 + i)(2 - i); i = 3 mod (2 + i) and i = 2 mod (2 - i)
+    P, P_bar = sorted(splitting_type(GAUSS, 5), key=lambda P: P.g)
+    assert (P.g, P_bar.g) == ((2, 1), (3, 1))
+    i = GAUSS.gen()
+    # (2 + i)/5 = 1/(2 - i): 5 divides the denominator, yet it is a unit at P
+    unit = (i + 2) / 5
+    assert residue_map(GAUSS, P, unit).coeffs == (4,)
+    with pytest.raises(NotAUnit, match="p-part mismatch"):
+        residue_map(GAUSS, P_bar, unit)
+    with pytest.raises(NotAUnit, match="reduces to zero"):
+        residue_map(GAUSS, P, i + 2)
+    assert residue_map(GAUSS, P_bar, i + 2).coeffs == (4,)
+    P2, = splitting_type(GAUSS, 2)
+    assert (P2.e, residue_map(GAUSS, P2, i).coeffs) == (2, (1,))
 
 
 def test_omega_membership():
