@@ -90,7 +90,7 @@ def factorint(n):
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        root = round(m ** 0.5)
+        root = math.isqrt(m)
         if root * root == m:
             stack.extend([root, root])
             continue

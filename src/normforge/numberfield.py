@@ -17,9 +17,11 @@ from g^e is the local factor F_P, and
 
     v_P(alpha) = v_p(Res(F_P, A)) / f_deg      (A integral representative)
 
-corrected for the power of p cleared from denominators.  Residue maps divide
-the reduced representative by the cleared p-power inside Z/p^m[x]/(F_P),
-which is valid in the discrete valuation ring whatever the ramification.
+corrected for the power of p cleared from denominators; at a block x - r of
+degree one the resultant is A(r).  Residue maps divide the reduced
+representative by the cleared p-power inside Z/p^m[x]/(F_P), which is valid
+in the discrete valuation ring whatever the ramification; with no p in the
+denominator they reduce mod (p, g) directly, since F_P = g^e mod p.
 """
 
 import math
@@ -469,7 +471,8 @@ def valuation(field, P, alpha):
     """v_P(alpha); returns the float +inf for alpha = 0.
 
     Escalates the lifting precision (doubling) until the resultant valuation
-    is strictly certified and stable twice, per the precision policy.
+    is strictly certified and stable twice, per the precision policy.  At a
+    block of degree one each resultant is one Horner evaluation mod p^m.
     """
     alpha = field.element(alpha)
     if alpha.is_zero():
@@ -501,37 +504,47 @@ def _resultant_valuation(F, A, p, m):
 
     F is the lifted monic block (known mod p^m only); Res over the integer
     lifts agrees with the true resultant mod p^m, so any valuation < m is
-    exact.  A is reduced centered mod p^m to keep sizes down; F is monic, so
-    Res(F, A) = prod A(theta_i) = det(multiplication by A mod F) is
-    insensitive to A's nominal degree.
+    exact.  A block x - r of degree one gives Res(F, A) = A(r), one Horner
+    pass mod p^m.  Otherwise A is reduced centered mod p^m to keep sizes
+    down; F is monic, so Res(F, A) = prod A(theta_i) = det(multiplication
+    by A mod F) is insensitive to A's nominal degree.
     """
     q = p ** m
-    a = [centered_residue(c, q) for c in A]
-    if not any(a):
-        return None
-    exact = _mult_det([centered_residue(c, q) for c in F], a)
-    if exact == 0 or exact % q == 0:
+    if len(F) == 2:
+        r, exact = -F[0], 0
+        for c in reversed(A):
+            exact = (exact * r + c) % q
+    else:
+        a = [centered_residue(c, q) for c in A]
+        if not any(a):
+            return None
+        exact = _mult_det([centered_residue(c, q) for c in F], a)
+    if exact % q == 0:
         return None
     return valuation_int(exact, p)
 
 
 def residue_map(field, P, alpha):
-    """Image of alpha in the residue field of P; requires v_P(alpha) = 0."""
+    """Image of alpha in the residue field of P; requires v_P(alpha) = 0.
+
+    With p^s in the denominator (s > 0), A = p^s * d0 * alpha is reduced mod
+    the block lifted to p^(2s+4) and divided by p^s there.  With s = 0 no lift
+    is needed: the block is g^e mod p, so A mod (p, g) is the residue.
+    """
     alpha = field.element(alpha)
     if alpha.is_zero():
         raise NotAUnit("zero has positive valuation")
     p = P.p
     A, s, d0 = _integral_rep(alpha, p)
-    m = 2 * s + 4
-    q = p ** m
-    blocks = local_blocks(field, p, m)
-    B = pdivmod(A, blocks[P.index], q)[1]
-    # alpha unit at P means A(theta) lies in p^s * O_P exactly
-    if any(c % p ** s for c in B):
-        raise NotAUnit("element has nonzero valuation at P (p-part mismatch)")
-    B = [c // p ** s for c in B]
+    if s:
+        m = 2 * s + 4
+        A = pdivmod(A, local_blocks(field, p, m)[P.index], p ** m)[1]
+        # alpha unit at P means A(theta) lies in p^s * O_P exactly
+        if any(c % p ** s for c in A):
+            raise NotAUnit("element has nonzero valuation at P (p-part mismatch)")
+        A = [c // p ** s for c in A]
     k = P.residue_field()
-    red = pdivmod(B, list(P.g), p)[1]
+    red = pdivmod(A, list(P.g), p)[1]
     elem = k.element(red)
     if elem.is_zero():
         raise NotAUnit("element reduces to zero at P")

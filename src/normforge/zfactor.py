@@ -109,8 +109,14 @@ def factor_over_q(f):
     if f.is_zero():
         raise NormforgeError("cannot factor zero")
     const = f.leading()
+    ints = f.primitive_int().int_coeffs()
+    # squarefree mod some p not dividing lc(f) proves f squarefree over Q
+    if any(_squarefree_mod(ints, p) for p in SIEVE_PRIMES):
+        parts = [(f.monic(), 1)]
+    else:
+        parts = yun_squarefree(f)
     out = []
-    for sq, mult in yun_squarefree(f):
+    for sq, mult in parts:
         for g in _factor_squarefree_z(sq.primitive_int()):
             out.append((g.monic(), mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))

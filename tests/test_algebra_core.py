@@ -14,6 +14,7 @@ import pytest
 from normforge.errors import NormforgeError, NotSquarefreeAtP, ZeroResidue
 from normforge.finitefield import FiniteField, power_residue_test, power_test_in_extension
 from normforge.hensel import hensel_lift_factorization, lift_blocks
+from normforge.intfunc import factorint, next_prime
 from normforge.modp import (
     _frac_mod,
     distinct_degree,
@@ -122,6 +123,15 @@ def test_factor_agrees_with_exhaustive_small():
         mine = factor_poly_mod_p(f, p)
         brute = brute_force_factor(f, p)
         assert mine == brute
+
+
+def test_factorint_splits_squares_beyond_float_range():
+    # a square root taken in floats overflows above about 2^1024, and above
+    # 2^106 it can miss the square and leave it to Pollard rho
+    big = next_prime(2 ** 600)
+    assert factorint(big * big) == {big: 2}
+    p = next_prime(2 ** 60)
+    assert factorint(3 * p * p) == {3: 1, p: 2}
 
 
 def test_hensel_worked_examples():

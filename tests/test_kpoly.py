@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from normforge import kpoly
+from normforge import kpoly, zfactor
 from normforge.cyclic import gaussian_period_subfield
 from normforge.errors import NonMonogenicAtP, NormforgeError
 from normforge.kpoly import has_primitive_root_of_unity, has_root_in_field, norm_poly
@@ -40,6 +40,17 @@ def test_mu_q_ruled_out_by_the_ramification_of_q(monkeypatch):
     # the Trager test alone agrees where both are cheap
     for field in (NumberField.cyclotomic(5), NumberField.cyclotomic(8), NumberField(UniPoly([-5, 0, 1]))):
         assert not has_root_in_field(field, cyclotomic_poly(3))
+
+
+def test_mu_7_in_q_zeta_21_with_a_certified_norm(monkeypatch):
+    # 7 ramifies with e = 6 in Q(zeta_21), so Trager's test runs; a sieve
+    # prime proves the first shift's degree-72 norm squarefree, and Yun's
+    # Fraction gcd on it, about 16 s, is not needed
+    def yun(f):
+        raise AssertionError(f"Yun ran on a norm of degree {f.degree}")
+
+    monkeypatch.setattr(zfactor, "yun_squarefree", yun)
+    assert has_primitive_root_of_unity(NumberField.cyclotomic(21), 7)
 
 
 def test_mu_q_where_z_theta_is_not_maximal_at_q():

@@ -221,3 +221,22 @@ def test_field_elements_have_one_stored_form():
         tree = ast.parse(path.read_text(), filename=str(path))
         readers |= {f"{path.name}:{qualname}" for qualname in _enclosing_functions(tree, "_cleared")}
     assert readers == {"numberfield.py:NumberField.element"}
+
+
+INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "factorial"}
+
+
+def test_the_only_float_is_the_infinite_valuation():
+    # verdicts are exact: numberfield.INF, the valuation of zero, is the one
+    # float in the package; no float literal, float() or float-valued math
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                    or isinstance(node, ast.Name) and node.id == "float"
+                    or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "math" and node.attr not in INTEGER_MATH):
+                found.append(f"{path.name}: {lines[node.lineno - 1].strip()}")
+    assert found == ['numberfield.py: INF = float("inf")']
