@@ -43,8 +43,8 @@ from .modp import (
     _frac_mod,
     factor_poly_mod_p,
     padd,
-    pdivmod,
     pgcd,
+    pmod,
     pmul,
     pnormalize,
     psub,
@@ -538,18 +538,16 @@ def residue_map(field, P, alpha):
     A, s, d0 = _integral_rep(alpha, p)
     if s:
         m = 2 * s + 4
-        A = pdivmod(A, local_blocks(field, p, m)[P.index], p ** m)[1]
+        A = pmod(A, local_blocks(field, p, m)[P.index], p ** m)
         # alpha unit at P means A(theta) lies in p^s * O_P exactly
         if any(c % p ** s for c in A):
             raise NotAUnit("element has nonzero valuation at P (p-part mismatch)")
         A = [c // p ** s for c in A]
-    k = P.residue_field()
-    red = pdivmod(A, list(P.g), p)[1]
-    elem = k.element(red)
-    if elem.is_zero():
+    red = pmod(A, P.g, p)
+    if not red:
         raise NotAUnit("element reduces to zero at P")
-    inv_d0 = k.element(pow(d0 % p, -1, p))
-    return elem * inv_d0
+    inv_d0 = pow(d0, -1, p)
+    return P.residue_field().element([c * inv_d0 for c in red])
 
 
 def residue_nonqth_power(field, P, c, q):
@@ -807,7 +805,7 @@ def _int_coeff_vector(elem, q):
 
 
 def _reduce_mod_f(vec, field, q):
-    r = pdivmod(vec, field._ints, q)[1]
+    r = pmod(vec, field._ints, q)
     return r + [0] * (field.degree - len(r))
 
 
