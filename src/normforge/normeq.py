@@ -130,7 +130,7 @@ def _prime_verdict(instance, P):
     if P.p == q:
         cm1 = spec.third - field.one()
         guard = 3 * P.e
-        if cm1.is_zero() or valuation(field, P, cm1) >= guard:
+        if valuation(field, P, cm1) >= guard:
             return LocalVerdict.solvable(
                 "phi guard: v(c-1) >= 3 v(q) transports through every layer"
             ), "guard-transport", None

@@ -18,10 +18,13 @@ from g^e is the local factor F_P, and
     v_P(alpha) = v_p(Res(F_P, A)) / f_deg      (A integral representative)
 
 corrected for the power of p cleared from denominators; at a block x - r of
-degree one the resultant is A(r).  Residue maps divide the reduced
-representative by the cleared p-power inside Z/p^m[x]/(F_P), which is valid
-in the discrete valuation ring whatever the ramification; with no p in the
-denominator they reduce mod (p, g) directly, since F_P = g^e mod p.
+degree one the resultant is A(r).  Each valuation is one certified pass: a
+lift mod p^m gives a resultant that is correct mod p^m, so the first value
+below m is exact, and m doubles only while p^m divides it.  Residue maps
+divide the reduced representative by the cleared p-power inside
+Z/p^m[x]/(F_P), which is valid in the discrete valuation ring whatever the
+ramification; with no p in the denominator they reduce mod (p, g) directly,
+since F_P = g^e mod p.
 """
 
 import math
@@ -368,7 +371,7 @@ def _mult_det(f, a):
 class PrimeIdeal:
     """Prime of K above p, presented Kummer-Dedekind style as (p, g(theta))."""
 
-    __slots__ = ("field", "p", "g", "e", "f_deg", "index")
+    __slots__ = ("field", "p", "g", "e", "f_deg", "index", "_residue_field")
 
     def __init__(self, field, p, g, e, f_deg, index):
         self.field = field
@@ -377,11 +380,11 @@ class PrimeIdeal:
         self.e = e
         self.f_deg = f_deg
         self.index = index  # position in the canonical splitting order
+        self._residue_field = (FiniteField(p) if f_deg == 1
+                               else FiniteField(p, list(g), check=False))
 
     def residue_field(self):
-        if self.f_deg == 1:
-            return FiniteField(self.p)
-        return FiniteField(self.p, list(self.g), check=False)
+        return self._residue_field
 
     def __eq__(self, other):
         return (
@@ -470,9 +473,10 @@ def _integral_rep(alpha, p):
 def valuation(field, P, alpha):
     """v_P(alpha); returns the float +inf for alpha = 0.
 
-    Escalates the lifting precision (doubling) until the resultant valuation
-    is strictly certified and stable twice, per the precision policy.  At a
-    block of degree one each resultant is one Horner evaluation mod p^m.
+    One certified pass: the block is lifted to p^m, from m = 2s + 8, and m
+    doubles only while p^m divides the resultant.  A lift mod p^m gives a
+    resultant that is correct mod p^m, so the first value below m is exact.
+    At a block of degree one the resultant is one Horner evaluation mod p^m.
     """
     alpha = field.element(alpha)
     if alpha.is_zero():
@@ -480,34 +484,26 @@ def valuation(field, P, alpha):
     p = P.p
     A, s, _ = _integral_rep(alpha, p)
     m = 2 * s + 8
-    prev = None
     while m <= MAX_PRECISION:
-        blocks = local_blocks(field, p, m)
-        F = blocks[P.index]
-        v_res = _resultant_valuation(F, A, p, m)
-        if v_res is None or v_res >= m - 1:
-            m *= 2
-            prev = None
-            continue
-        if v_res % P.f_deg != 0:
-            raise AssertionError("resultant valuation not divisible by f_deg")
-        v = v_res // P.f_deg - P.e * s
-        if prev == v:
-            return v
-        prev = v
+        v_res = _resultant_valuation(local_blocks(field, p, m)[P.index], A, p, m)
+        if v_res is not None:
+            if v_res % P.f_deg != 0:
+                raise AssertionError("resultant valuation not divisible by f_deg")
+            return v_res // P.f_deg - P.e * s
         m *= 2
     raise PrecisionExhausted(f"valuation at p={p} beyond precision cap")
 
 
 def _resultant_valuation(F, A, p, m):
-    """v_p(Res(F, A)) certified below m, else None.
+    """v_p(Res(F, A)) if p^m does not divide it, else None.
 
-    F is the lifted monic block (known mod p^m only); Res over the integer
-    lifts agrees with the true resultant mod p^m, so any valuation < m is
-    exact.  A block x - r of degree one gives Res(F, A) = A(r), one Horner
-    pass mod p^m.  Otherwise A is reduced centered mod p^m to keep sizes
-    down; F is monic, so Res(F, A) = prod A(theta_i) = det(multiplication
-    by A mod F) is insensitive to A's nominal degree.
+    F is the lifted monic block, known mod p^m only.  Res is an integer
+    polynomial in the coefficients, so a lift mod p^m gives a resultant that
+    is correct mod p^m, and any valuation below m is exact.  A block x - r
+    of degree one gives Res(F, A) = A(r), one Horner pass mod p^m.
+    Otherwise A is reduced centered mod p^m to keep sizes down; F is monic,
+    so Res(F, A) = prod A(theta_i) = det(multiplication by A mod F) is
+    insensitive to A's nominal degree.
     """
     q = p ** m
     if len(F) == 2:
@@ -528,8 +524,9 @@ def residue_map(field, P, alpha):
     """Image of alpha in the residue field of P; requires v_P(alpha) = 0.
 
     With p^s in the denominator (s > 0), A = p^s * d0 * alpha is reduced mod
-    the block lifted to p^(2s+4) and divided by p^s there.  With s = 0 no lift
-    is needed: the block is g^e mod p, so A mod (p, g) is the residue.
+    the block lifted to p^(2s+8), the precision `valuation` starts from, and
+    divided by p^s there.  With s = 0 no lift is needed: the block is g^e
+    mod p, so A mod (p, g) is the residue.
     """
     alpha = field.element(alpha)
     if alpha.is_zero():
@@ -537,7 +534,7 @@ def residue_map(field, P, alpha):
     p = P.p
     A, s, d0 = _integral_rep(alpha, p)
     if s:
-        m = 2 * s + 4
+        m = 2 * s + 8
         A = pmod(A, local_blocks(field, p, m)[P.index], p ** m)
         # alpha unit at P means A(theta) lies in p^s * O_P exactly
         if any(c % p ** s for c in A):
@@ -670,8 +667,7 @@ class TowerEdge:
         witness = UniPoly(P_lower.g)(self.image)
         out = []
         for P_up in splitting_type(self.upper, P_lower.p):
-            v = INF if witness.is_zero() else valuation(self.upper, P_up, witness)
-            if v > 0:
+            if valuation(self.upper, P_up, witness) > 0:
                 e_rel = P_up.e // P_lower.e
                 f_rel = P_up.f_deg // P_lower.f_deg
                 assert P_up.e % P_lower.e == 0 and P_up.f_deg % P_lower.f_deg == 0
@@ -695,8 +691,6 @@ def uniformizer(field, P):
     gtheta = UniPoly(P.g)(field.gen())
     for j in range(UNIFORMIZER_TRIES):
         cand = gtheta + field.element(p * j)
-        if cand.is_zero():
-            continue
         if valuation(field, P, cand) != 1:
             continue
         if all(valuation(field, Q, cand) == 0 for Q in siblings):
@@ -816,9 +810,6 @@ def _verify_constraints(field, cand, valuations, congruences):
         if valuation(field, P, cand) != v:
             return False
     for P, target, k in congruences:
-        diff = cand - field.element(target)
-        if diff.is_zero():
-            continue
-        if valuation(field, P, diff) < k:
+        if valuation(field, P, cand - field.element(target)) < k:
             return False
     return True

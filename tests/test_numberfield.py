@@ -271,6 +271,80 @@ def test_valuation_matches_the_resultant_on_the_lifted_block():
     assert checked > 250
 
 
+def _count_resultants(monkeypatch):
+    """The precisions m of every resultant taken from now on, in order."""
+    import normforge.numberfield as nf
+
+    calls = []
+    real = nf._resultant_valuation
+
+    def counted(F, A, p, m):
+        calls.append(m)
+        return real(F, A, p, m)
+
+    monkeypatch.setattr(nf, "_resultant_valuation", counted)
+    return calls
+
+
+def test_valuation_certifies_the_first_value_below_the_precision(monkeypatch):
+    # a lift mod p^m gives a resultant correct mod p^m, so 2^7 is exact at
+    # m = 8, and m doubles only while p^m divides the resultant.  At the
+    # block x^2 + 1 of degree two the resultant is a determinant: (1 + i)^15
+    # has coordinates +-2^7, nonzero mod 2^8, yet 2^8 divides its norm 2^15.
+    # With p^s in the denominator m starts at 2s + 8.
+    calls = _count_resultants(monkeypatch)
+    i = GAUSS.gen()
+    P2, = splitting_type(Q, 2)
+    G2, = splitting_type(GAUSS, 2)
+    C5 = next(P for P in splitting_type(CUBE2, 5) if P.f_deg == 2)
+    cases = [(Q, P2, Q.element(2 ** n), valuation_int(2 ** n, 2), precisions)
+             for n, precisions in ((7, [8]), (8, [8, 16]), (20, [8, 16, 32]))]
+    cases += [
+        (GAUSS, G2, (i + 1) ** 15, valuation_int(2 ** 15, 2), [8, 16]),
+        (GAUSS, G2, (i + 1) ** 3 / 4, 3 - G2.e * valuation_int(4, 2), [10]),
+        (CUBE2, C5, (CUBE2.gen() + 3) / 25, -C5.e * valuation_int(25, 5), [12]),
+    ]
+    for field, P, alpha, expected, precisions in cases:
+        calls.clear()
+        assert valuation(field, P, alpha) == expected
+        assert calls == precisions
+
+
+def test_a_valuation_certified_at_its_first_precision_takes_one_resultant(monkeypatch):
+    rng = random.Random(1606)
+    calls = _count_resultants(monkeypatch)
+    checked = 0
+    for field, ps in LOCAL_CASES:
+        for p in ps:
+            for P in splitting_type(field, p):
+                F = local_blocks(field, p, 40)[P.index]
+                for alpha in _local_elements(rng, field, p, 12):
+                    s = valuation_int(alpha.den, p)
+                    if valuation_int(_mult_det(F, alpha.num), p) >= 2 * s + 8:
+                        continue
+                    calls.clear()
+                    valuation(field, P, alpha)
+                    assert calls == [2 * s + 8]
+                    checked += 1
+    assert checked > 250
+
+
+def test_valuation_and_residue_map_share_one_lift():
+    # a unit with 5 in its denominator: both lift the block to 5^(2s + 8)
+    field = NumberField(UniPoly([1, 0, 1]), name="Q(i)")
+    P = min(splitting_type(field, 5), key=lambda P: P.g)
+    unit = (field.gen() + 2) / 5
+    assert valuation(field, P, unit) == 0
+    assert residue_map(field, P, unit).coeffs == (4,)
+    assert list(field._block_cache) == [(5, 10)]
+
+
+def test_each_prime_builds_its_residue_field_once():
+    for P in splitting_type(CUBE2, 5):
+        assert P.residue_field() is P.residue_field()
+        assert P.residue_field().f == P.f_deg
+
+
 def _residue_by_lift(field, P, alpha):
     """alpha mod P by the explicit lift: reduce A mod the lifted block,
     divide out p^s, reduce mod (p, g) and divide by d0; None at a non-unit."""

@@ -223,6 +223,15 @@ def test_field_elements_have_one_stored_form():
     assert readers == {"numberfield.py:NumberField.element"}
 
 
+def test_only_valuation_reads_the_infinite_valuation():
+    # valuation returns INF for zero, so no caller repeats that zero case
+    readers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers |= {f"{path.name}:{qualname}" for qualname in _enclosing_functions(tree, "INF")}
+    assert readers == {"numberfield.py:", "numberfield.py:valuation"}
+
+
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "factorial"}
 
 
