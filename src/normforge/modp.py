@@ -6,7 +6,7 @@ for Hensel lifting and local blocks elsewhere.  The modulus contract:
 
 * inputs may have any int coefficients, unreduced or negative; outputs have
   coefficients in [0, m) and no trailing zeros;
-* padd, psub and pmul take any modulus m >= 2;
+* padd, psub, pmul and peval take any modulus m >= 2;
 * pdivmod and pmod take any m >= 2 when the leading coefficient of the
   divisor is a unit mod m, so over Z/p^k the divisor must be monic (or have
   a unit leading coefficient); otherwise they raise ValueError.  Top
@@ -124,6 +124,14 @@ def pmod(a, b, p):
             for i in range(n):
                 r[s + i] -= coef * b[i]
     return pnormalize(r[:n], p)
+
+
+def peval(a, x, m):
+    """a(x) mod m, by Horner."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def pmonic(a, p):

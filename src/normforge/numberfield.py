@@ -46,6 +46,7 @@ from .modp import (
     _frac_mod,
     factor_poly_mod_p,
     padd,
+    peval,
     pgcd,
     pmod,
     pmul,
@@ -78,15 +79,15 @@ class NumberField:
             raise NormforgeError("defining polynomial must be monic")
         if any(c.denominator != 1 for c in poly.coeffs):
             raise NormforgeError("defining polynomial must have integer coefficients")
+        self._ints = poly.int_coeffs()
         if check_irreducible and poly.degree > 1:
             from .zfactor import is_irreducible_over_q
 
-            if not is_irreducible_over_q(poly):
+            if not is_irreducible_over_q(self._ints):
                 raise NormforgeError("defining polynomial is reducible over Q")
         self.poly = poly
         self.degree = poly.degree
         self.name = name or f"Q[x]/({_poly_label(poly)})"
-        self._ints = poly.int_coeffs()
         self._block_cache = {}
         self._splitting_cache = {}
         self._real_roots = None
@@ -507,9 +508,7 @@ def _resultant_valuation(F, A, p, m):
     """
     q = p ** m
     if len(F) == 2:
-        r, exact = -F[0], 0
-        for c in reversed(A):
-            exact = (exact * r + c) % q
+        exact = peval(A, -F[0], q)
     else:
         a = [centered_residue(c, q) for c in A]
         if not any(a):

@@ -5,10 +5,19 @@ period polynomials, and as the rational-side engine of Trager's method for
 factoring over a number field.  Sizes here are desk scale (degree <= ~30),
 so plain subset recombination after Hensel lifting is adequate.
 
-Irreducibility is first tried by a mod-p degree sieve: a factor of degree d
-over Q has degree d mod every good prime p, so d must be a sum of the degrees
-of the irreducible factors of f mod p.  When no d in [1, n-1] is such a sum
-at every sieve prime, f is irreducible and no Zassenhaus run is needed.
+Irreducibility is first tried by a mod-p degree sieve (Musser, JACM 1978) on
+the integer coefficients: a factor of degree d over Q has degree d mod every
+good prime p, so d must be a sum of the degrees of the irreducible factors of
+f mod p.  Degree 1 is the hardest to exclude that way, since f has a root mod
+most primes, so rational roots are excluded exactly instead (Cohen, GTM 138,
+section 3.5): at the first good p where f mod p has roots, each root is
+Newton-lifted to q > 2 |lc| B, B the Cauchy root bound, and c = lc r mod q,
+taken in (-q/2, q/2], is the one candidate it gives.  If no f(c / lc) is zero,
+degrees 1 and n - 1 are excluded.  This is sound because f is squarefree mod
+p, so each root mod p is simple and lifts uniquely; and a rational root u/v
+has v | lc, so its image lc u/v is an integer of size at most |lc| B < q/2.
+When no d in [1, n-1] is left open, f is irreducible and no Zassenhaus run is
+needed.
 """
 
 import itertools
@@ -17,7 +26,7 @@ import math
 from .errors import NormforgeError
 from .hensel import lift_blocks
 from .intfunc import centered_residue, is_prime, next_prime
-from .modp import distinct_degree, factor_poly_mod_p, pderiv, pgcd, pmonic, pmul, pnormalize
+from .modp import distinct_degree, factor_poly_mod_p, pderiv, peval, pgcd, pmonic, pmul, pnormalize, trim
 from .polyq import UniPoly, yun_squarefree
 
 SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -123,27 +132,62 @@ def factor_over_q(f):
     return const, out
 
 
+def _lifts_to_rational_root(ints, r, p):
+    """Whether the simple root r of f mod p lifts to a rational root of f.
+
+    r is Newton-lifted to q > 2 |lc| B, B the Cauchy root bound, and
+    c = lc r mod q in (-q/2, q/2] is the one candidate lc u/v it can give.
+    """
+    lc = ints[-1]
+    bound = 2 * (abs(lc) + max(abs(c) for c in ints[:-1]))  # 2 |lc| B
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    q = p
+    while q <= bound:
+        q *= q
+        r = (r - peval(ints, r, q) * pow(peval(deriv, r, q), -1, q)) % q
+    c = centered_residue(lc * r, q)
+    acc, scale = 0, 1  # lc^n f(c / lc) = sum a_i c^i lc^(n-i), by homogeneous Horner
+    for a in reversed(ints):
+        acc = acc * c + a * scale
+        scale *= lc
+    return acc == 0
+
+
 def is_irreducible_over_q(f):
     """True iff f (degree >= 1) is irreducible over Q.
 
-    The degree sieve runs over the SIEVE_PRIMES that do not divide lc(f) and
-    keep f squarefree mod p; Zassenhaus decides whatever it leaves open.
+    f is a UniPoly or a list of integer coefficients, ascending.  The degree
+    sieve runs over the SIEVE_PRIMES that do not divide lc(f) and keep f
+    squarefree mod p.  At the first of these where degree 1 is still open,
+    each root of f mod p is Newton-lifted to q > 2 |lc| B (B the Cauchy root
+    bound) and read as c = lc r mod q in (-q/2, q/2]: if f(c / lc) = 0, f has
+    a linear factor; if not for any root, degrees 1 and n - 1 are excluded.
+    Every rational root u/v is found this way, since v | lc makes lc u/v an
+    integer below q/2 in size, and the root mod p it reduces to is simple, so
+    its lift is unique.  Zassenhaus decides whatever is left open.
     """
-    if f.degree is None or f.degree < 1:
+    ints = f.primitive_int().int_coeffs() if isinstance(f, UniPoly) else trim(list(f))
+    n = len(ints) - 1
+    if n < 1:
         return False
-    ints = f.primitive_int().int_coeffs()
-    open_degrees = (1 << f.degree) - 2  # bit d: a factor of degree d is not ruled out
+    open_degrees = (1 << n) - 2  # bit d: a factor of degree d is not ruled out
     for p in SIEVE_PRIMES:
         if not open_degrees:
             break
         if not _squarefree_mod(ints, p):
             continue
         sums = 1  # bit d: d is a sum of mod-p factor degrees
-        for g, d in distinct_degree(pmonic(pnormalize(ints, p), p), p):
+        parts = distinct_degree(pmonic(pnormalize(ints, p), p), p)
+        for g, d in parts:
             for _ in range((len(g) - 1) // d):
                 sums |= sums << d
         open_degrees &= sums
+        if open_degrees & 2:  # f has roots mod p, and degree 1 is still open
+            linear = parts[0][0]  # distinct_degree lists the degree-1 part first
+            if any(_lifts_to_rational_root(ints, r, p) for r in range(p) if not peval(linear, r, p)):
+                return False
+            open_degrees &= ~(2 | 1 << (n - 1))
     if not open_degrees:
         return True
-    _, factors = factor_over_q(f)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == f.degree
+    _, factors = factor_over_q(UniPoly(ints))
+    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == n

@@ -23,6 +23,7 @@ from normforge.modp import (
     padd,
     pdivmod,
     pderiv,
+    peval,
     pgcd,
     pgcd_ext,
     pmod,
@@ -356,8 +357,8 @@ def _outcome(fn, *args):
 def test_kernel_matches_per_step_reference(p):
     """Division, remainder, gcd, powering, distinct-degree splitting and
     Rabin's test agree with per-step-reduced references on unreduced and
-    negative inputs, short dividends, constant divisors and, for division,
-    the modulus p^k with a monic divisor."""
+    negative inputs, short dividends, constant divisors and, for division and
+    evaluation, the modulus p^k with a monic divisor."""
     rng = random.Random(p)
 
     def poly(deg, lead=None):
@@ -378,6 +379,8 @@ def test_kernel_matches_per_step_reference(p):
             assert _outcome(pmod, a, [], q) == ZeroDivisionError
             assert pdivmod(a, monic, q) == _ref_divmod(a, monic, q)
             assert pmod(a, monic, q) == _ref_mod(a, monic, q)
+            for x in (-p - 1, 0, 2 * q + 3):
+                assert peval(a, x, q) == sum(c * x ** i for i, c in enumerate(a)) % q
         base, e = poly(deg), rng.choice([0, 1, 2, p - 1, p, rng.randrange(p ** 3)])
         assert _outcome(ppow_mod, base, e, b, p) == _outcome(_ref_powmod, base, e, b, p)
         f = poly(deg, lead=rng.choice([1, p + 1, -1, 2]))

@@ -539,3 +539,58 @@ def test_field_json_round_trip():
     assert back == K3
     P = splitting_type(K3, 7)[0]
     assert P.to_json() == {"p": 7, "g": [3, 1], "e": 1, "f": 1}
+
+
+def _count_certificate_work(monkeypatch):
+    """{"ddf": primes, "zassenhaus": polys}: the distinct-degree factorizations
+    and Zassenhaus runs of each irreducibility certificate."""
+    from normforge import zfactor
+
+    calls = {"ddf": [], "zassenhaus": []}
+    ddf, zassenhaus = zfactor.distinct_degree, zfactor.factor_over_q
+    monkeypatch.setattr(zfactor, "distinct_degree",
+                        lambda f, p: calls["ddf"].append(p) or ddf(f, p))
+    monkeypatch.setattr(zfactor, "factor_over_q",
+                        lambda f: calls["zassenhaus"].append(f) or zassenhaus(f))
+    return calls
+
+
+def test_a_quadratic_or_cubic_field_is_certified_at_one_sieve_prime(monkeypatch):
+    # the first good prime settles degree 1 and n - 1, by the degree sieve when
+    # f has no root mod p and by lifting the roots when it has, so n <= 3 is done
+    calls = _count_certificate_work(monkeypatch)
+    rng = random.Random(1978)
+    certified = {2: 0, 3: 0}
+    while min(certified.values()) < 25:
+        deg = rng.choice((2, 3))
+        f = UniPoly([rng.randint(-40, 40) for _ in range(deg)] + [1])
+        a0 = abs(int(f.coeffs[0]))
+        if a0 == 0 or any(f(r) == 0 for r in range(-a0, a0 + 1)):
+            continue  # a monic quadratic or cubic is reducible iff it has an integer root
+        calls["ddf"].clear()
+        NumberField(f)
+        assert len(calls["ddf"]) == 1, f
+        certified[deg] += 1
+    assert calls["zassenhaus"] == []
+
+
+def test_building_a_field_never_takes_the_rational_primitive_part(monkeypatch):
+    def refuse(self):
+        raise AssertionError("primitive_int called")
+
+    calls = _count_certificate_work(monkeypatch)
+    monkeypatch.setattr(UniPoly, "primitive_int", refuse)
+    fields = _seeded_fields(random.Random(2031))
+    fields += [NumberField(UniPoly(f)) for f in ([-2, 0, 0, 1], [1, 1, 1, 1, 1], [3, 0, 0, 0, 0, 1])]
+    assert [K.degree for K in fields] == list(range(1, 11)) + [3, 4, 5]
+    assert calls["zassenhaus"] == []
+
+
+def test_a_large_rational_root_is_found_by_its_lift(monkeypatch):
+    # (x - 1000003)(x^2 + x + 1) has its root 1 mod 2 and a Cauchy bound near
+    # 10^6: the lift reaches 2^32 and reads 1000003 back, with no Zassenhaus run
+    calls = _count_certificate_work(monkeypatch)
+    f = UniPoly([-1000003, 1]) * UniPoly([1, 1, 1])
+    with pytest.raises(NormforgeError, match="defining polynomial is reducible over Q"):
+        NumberField(f)
+    assert calls == {"ddf": [2], "zassenhaus": []}

@@ -232,6 +232,14 @@ def test_only_valuation_reads_the_infinite_valuation():
     assert readers == {"numberfield.py:", "numberfield.py:valuation"}
 
 
+
+def test_one_sieve_loop_factors_by_degree():
+    # monic and non-monic inputs share the one degree sieve of the
+    # irreducibility certificate; no second loop runs distinct_degree
+    tree = ast.parse((PACKAGE / "zfactor.py").read_text(), filename="zfactor.py")
+    assert _enclosing_functions(tree, "distinct_degree") == {"is_irreducible_over_q"}
+
+
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "factorial"}
 
 

@@ -4,6 +4,7 @@ field norms checked against sympy, when sympy is installed.
 sympy is not a dependency of the package; without it this module is skipped.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -74,6 +75,60 @@ def test_sieve_falls_back_when_every_prime_splits(monkeypatch):
     # an irreducible cubic is settled by the sieve alone
     assert is_irreducible_over_q(UniPoly([-2, 0, 0, 1]))
     assert len(calls) == 1
+
+
+
+def _sympy_irreducible(f):
+    return sympy.Poly(list(reversed(f.int_coeffs())), X).is_irreducible
+
+
+def _value(ints, r):
+    return sum(c * r ** i for i, c in enumerate(ints))
+
+
+def _has_root_mod(ints, p):
+    return any(_value(ints, r) % p == 0 for r in range(p))
+
+
+def _lifted_root_cases():
+    """UniPolys over Z with a rational root that the lift must find,
+    irreducible quartics whose degree 1 only the lift can close, and
+    polynomials of degree 1."""
+    rng = random.Random(1978)
+
+    def small(deg, lc=1):
+        return UniPoly([rng.randint(-9, 9) for _ in range(deg)] + [lc])
+
+    cases = []
+    for _ in range(12):  # (x - r) g with |r| far beyond the coefficients of g
+        r = rng.choice([-1, 1]) * rng.randint(10 ** 3, 10 ** 6)
+        cases.append(UniPoly([-r, 1]) * small(rng.randint(1, 5), rng.choice([1, 1, 2, -3])))
+    for _ in range(8):  # x g(x): the root 0 mod every p lifts to 0
+        cases.append(UniPoly([0, 1]) * small(rng.randint(1, 6), rng.choice([1, 5])))
+    for _ in range(12):  # a rational root u/v with v > 1, g not monic either
+        v = rng.randint(2, 30)
+        u = rng.choice([u for u in range(-60, 61) if u and math.gcd(u, v) == 1])
+        cases.append(UniPoly([-u, v]) * small(rng.randint(1, 5), rng.randint(1, 6)))
+    quartics = []
+    while len(quartics) < 6:  # a root mod every sieve prime that keeps f squarefree
+        ints = [rng.randint(-9, 9) for _ in range(4)] + [1]
+        if (all(_has_root_mod(ints, p) or not zfactor._squarefree_mod(ints, p)
+                for p in zfactor.SIEVE_PRIMES)
+                and all(_value(ints, r) for r in range(-10, 11))  # no root within the Cauchy bound
+                and any(zfactor._squarefree_mod(ints, p) for p in zfactor.SIEVE_PRIMES)
+                and _sympy_irreducible(UniPoly(ints))):
+            quartics.append(UniPoly(ints))
+    cases += quartics
+    cases += [UniPoly([rng.randint(-50, 50), rng.choice([1, 2, -7, 12])]) for _ in range(6)]
+    return cases
+
+
+@pytest.mark.parametrize("f", _lifted_root_cases(), ids=lambda f: str(f.int_coeffs()))
+def test_lifted_root_exclusion_matches_sympy(f):
+    want = _sympy_irreducible(f)
+    assert is_irreducible_over_q(f) == want
+    assert is_irreducible_over_q(f.int_coeffs()) == want
+    assert is_irreducible_over_q(f.scale(Fraction(-2, 3))) == want
 
 
 def _sympy_factorization_mod_p(f, p):
