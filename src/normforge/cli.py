@@ -129,6 +129,9 @@ def cmd_verify_prop(args):
     target = None
     if args.prime is not None:
         primes = splitting_type(field, args.prime)
+        if not 0 <= args.prime_index < len(primes):
+            raise NormforgeError(f"--prime-index {args.prime_index} is not in [0, {len(primes)}): "
+                                 f"{len(primes)} primes lie above {args.prime}")
         target = primes[args.prime_index]
     report = verify_proposition(args.kind, spec, target)
     _emit({"command": "verify prop", "report": report.to_json()}, args.out)

@@ -143,6 +143,8 @@ def denominator_divisibility_search(E, P, A, m, k_max=40):
     """Least k <= k_max with A | d(x_{km}); NotFound carries the ledger."""
     if A <= 0:
         raise NormforgeError("A must be a positive integer")
+    if m < 1:
+        raise NormforgeError("m must be a positive integer")
     if not certify_infinite_order(E, P):
         raise HypothesisFail(["P has small torsion order"], "infinite order screen failed")
     cache = MultipleCache(E, P)

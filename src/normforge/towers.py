@@ -233,6 +233,8 @@ def _radical_children(node, p, k, u, xi_known):
 
 def grow_tree(recipe, p, depth):
     """FactorTree of the prime p through the first `depth` recipe steps."""
+    if not is_prime(p):
+        raise NormforgeError(f"{p} is not prime")
     steps = recipe.truncated(depth)
     tree = FactorTree(p, recipe.name)
     conductor = 1
@@ -382,6 +384,8 @@ def classify_prime(tree, q):
     orders, so their certificates note that the evidence extends
     analytically beyond the examined depth.
     """
+    if not is_prime(q):
+        raise NormforgeError(f"{q} is not prime")
     if not tree.nodes:
         raise NormforgeError("empty tree")
     scope = ""

@@ -584,6 +584,112 @@ def test_poly_json_round_trip():
     assert f.to_json() == ["1/2", "0", "3"]
 
 
+def _q_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return _ref_trim([x + y for x, y in zip(a, b)])
+
+
+def _q_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _q_divmod(a, b):
+    """Schoolbook division over Q on Fraction lists."""
+    rem, quo = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        shift, factor = len(rem) - len(b), rem[-1] / b[-1]
+        quo[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+        rem.pop()
+        _ref_trim(rem)
+    return _ref_trim(quo), rem
+
+
+def _q_horner(a, x, zero):
+    acc = zero
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _q_random(rng, length):
+    out = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 35])) for _ in range(length)]
+    return _ref_trim(out)
+
+
+def test_unipoly_matches_fraction_list_reference():
+    """Ring operations, division with remainder, normal forms, evaluation,
+    equality, hashing and JSON agree with schoolbook arithmetic on plain
+    Fraction lists, for seeded rational polynomials of degree up to 6."""
+    from math import gcd, lcm
+
+    from normforge.numberfield import NumberField
+
+    field = NumberField(UniPoly([-1, -1, 0, 1]))
+    rng = random.Random(20)
+    for _ in range(150):
+        ac, bc = _q_random(rng, rng.randint(0, 7)), _q_random(rng, rng.randint(0, 7))
+        a, b = UniPoly(ac), UniPoly(bc)
+        assert a.coeffs == ac and all(type(c) is Fraction for c in a.coeffs)
+        assert a.degree == (len(ac) - 1 if ac else None)
+        assert (a + b).coeffs == _q_add(ac, bc)
+        assert (a - b).coeffs == _q_add(ac, [-c for c in bc])
+        assert (a * b).coeffs == _q_mul(ac, bc)
+        k = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        assert (a + k).coeffs == _q_add(ac, [k]) and (a - 3).coeffs == _q_add(ac, [Fraction(-3)])
+        assert (a * k).coeffs == (k * a).coeffs == _q_mul(ac, [k] if k else [])
+        power = [Fraction(1)]
+        for e in range(4):
+            assert (a ** e).coeffs == power
+            power = _q_mul(power, ac)
+        # non-monic rational divisors of every degree, constants included
+        d = _q_random(rng, rng.randint(1, len(ac) + 2))
+        if not d:
+            with pytest.raises(ZeroDivisionError):
+                a.divmod(UniPoly(d))
+            continue
+        quo, rem = a.divmod(UniPoly(d))
+        assert (quo.coeffs, rem.coeffs) == _q_divmod(ac, d)
+        assert (a // UniPoly(d), a % UniPoly(d)) == (quo, rem)
+        if ac:
+            assert a.leading() == ac[-1] and a.is_monic() == (ac[-1] == 1)
+            assert a.monic().coeffs == [c / ac[-1] for c in ac]
+            den = lcm(*(c.denominator for c in ac))
+            ints = [c.numerator * (den // c.denominator) for c in ac]
+            content = gcd(*ints)
+            assert a.primitive_int().coeffs == [c // content for c in ints]
+            assert a.primitive_int().int_coeffs() == [c // content for c in ints]
+        assert a.derivative().coeffs == _ref_trim([i * c for i, c in enumerate(ac)][1:])
+        for x in (rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 7))):
+            value = a(x)
+            assert value == _q_horner(ac, x, 0)
+            assert not ac or type(value) is Fraction
+        if ac:
+            composed = []
+            for c in reversed(ac):
+                composed = _q_add(_q_mul(composed, bc), [c])
+            assert a(b).coeffs == composed
+            alpha = field.element((_q_random(rng, 3) + [Fraction(0)] * 3)[:3])
+            assert a(alpha) == _q_horner(ac, alpha, field.zero())
+        lo = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        hi = lo + Fraction(rng.randint(0, 9), rng.randint(1, 5))
+        accl = acch = Fraction(0)
+        for c in reversed(ac):
+            cands = [accl * lo, accl * hi, acch * lo, acch * hi]
+            accl, acch = min(cands) + c, max(cands) + c
+        assert a.eval_interval(lo, hi) == (accl, acch)
+        assert a == UniPoly(ac + [0, Fraction(0)]) and (a == b) == (ac == bc)
+        assert a != UniPoly(_q_add(ac, [Fraction(0)] * len(ac) + [Fraction(1)]))
+        assert hash(a) == hash(tuple(ac))
+        assert a.to_json() == [str(c) for c in ac] and UniPoly.from_json(a.to_json()) == a
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

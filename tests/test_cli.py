@@ -136,6 +136,58 @@ def test_battery_rejects_q_not_prime(capsys, q):
     assert (report["error"], report["message"]) == ("NormforgeError", "q must be prime")
 
 
+PRIME_ARGS = {
+    "field factor --p": ["field", "factor", "--poly", "[1,1,1]", "--p", "{v}"],
+    "tower grow --prime": ["tower", "grow", "--recipe", "five-power", "--prime", "{v}",
+                           "--depth", "2"],
+    "tower classify --prime": ["tower", "classify", "--recipe", "five-power", "--prime", "{v}",
+                               "--q", "2", "--depth", "2"],
+    "tower classify --q": ["tower", "classify", "--recipe", "five-power", "--prime", "2",
+                           "--q", "{v}", "--depth", "2"],
+    "verify prop --prime": ["verify", "prop", "--kind", "badprime", "--spec", "{spec}",
+                            "--prime", "{v}"],
+    "normeq battery --q": ["normeq", "battery", "--x", '"1/7"', "--q", "{v}",
+                           "--field", "[1,1,1]"],
+    "compile --q": ["compile", "--variant", "eqC", "--q", "{v}"],
+    "cyclic construct --q": ["cyclic", "construct", "--q", "{v}", "--m", "1"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "1", "9"])
+@pytest.mark.parametrize("name", sorted(PRIME_ARGS))
+def test_every_prime_argument_rejects_non_primes(tmp_path, name, value):
+    # 1 made the tower commands loop forever, 0 raised ZeroDivisionError and 9
+    # grew a tree; each run is a fresh process under run_module's timeout
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(README_SPEC))
+    args = [a.replace("{spec}", str(path)).replace("{v}", value) for a in PRIME_ARGS[name]]
+    proc = run_module(args)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "NormforgeError"
+
+
+@pytest.mark.parametrize("index", ["2", "5", "-1"])
+def test_verify_prop_rejects_prime_index_out_of_range(tmp_path, capsys, index):
+    # 7 splits into two primes in Q(zeta_3); -1 used to verify the last one
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(README_SPEC))
+    code, out = run_cli(["verify", "prop", "--kind", "badprime", "--spec", str(path),
+                         "--prime", "7", "--prime-index", index], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "NormforgeError"
+    assert report["message"] == f"--prime-index {index} is not in [0, 2): 2 primes lie above 7"
+
+
+def test_ec_lemmas_rejects_m_below_one(capsys):
+    # [0]P is the point at infinity, so m = 0 used to search to the bound
+    code, out = run_cli(["ec", "lemmas", "--curve", '{"a": 0, "c": -2}',
+                         "--point", '{"x": 3, "y": 5}', "--m", "0"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert (report["error"], report["message"]) == ("NormforgeError", "m must be a positive integer")
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     for _ in range(2):
