@@ -25,7 +25,6 @@ from .modp import (
     pmul,
     pnormalize,
     psub,
-    trim,
 )
 
 
@@ -83,10 +82,7 @@ def hensel_lift_factorization(f, p, m):
     corresponding irreducible factor of f mod p, and their product is f mod
     p^m (f is assumed monic; a unit leading coefficient is divided out).
     """
-    if hasattr(f, "int_coeffs"):
-        f = f.int_coeffs()
-    f = list(f)
-    if not trim(list(f)):
+    if not any(f):
         raise NormforgeError("zero polynomial")
     factors = factor_poly_mod_p(f, p)
     if any(mult > 1 for _, mult in factors):

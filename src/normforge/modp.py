@@ -317,14 +317,12 @@ def _equal_degree_split(f, d, p, rng):
 def factor_poly_mod_p(f, p):
     """Factor f over F_p: list of (monic irreducible, multiplicity).
 
-    f can be given as an int-coefficient list or a UniPoly over Z; the list
-    is sorted (degree, coefficients) so output order is canonical.
+    f is an int-coefficient list; the output is sorted (degree,
+    coefficients) so its order is canonical.
     """
     if not is_prime(p):
         raise NormforgeError(f"{p} is not prime")
-    if hasattr(f, "coeffs"):
-        f = [c.numerator % p if c.denominator == 1 else _frac_mod(c, p) for c in f.coeffs]
-    f = pnormalize(list(f), p)
+    f = pnormalize(f, p)
     if not f:
         raise NormforgeError("cannot factor the zero polynomial")
     if len(f) == 1:

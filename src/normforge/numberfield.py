@@ -27,7 +27,6 @@ ramification; with no p in the denominator they reduce mod (p, g) directly,
 since F_P = g^e mod p.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import (
@@ -57,6 +56,8 @@ from .modp import (
 from .polyq import (
     RationalInterval,
     UniPoly,
+    _cleared,
+    _lowest_terms,
     real_root_isolate,
     refine_root,
     sign_at_root,
@@ -77,13 +78,12 @@ class NumberField:
             raise NormforgeError("defining polynomial must have degree >= 1")
         if not poly.is_monic():
             raise NormforgeError("defining polynomial must be monic")
-        if any(c.denominator != 1 for c in poly.coeffs):
+        if poly.den != 1:
             raise NormforgeError("defining polynomial must have integer coefficients")
-        self._ints = poly.int_coeffs()
         if check_irreducible and poly.degree > 1:
             from .zfactor import is_irreducible_over_q
 
-            if not is_irreducible_over_q(self._ints):
+            if not is_irreducible_over_q(poly.num):
                 raise NormforgeError("defining polynomial is reducible over Q")
         self.poly = poly
         self.degree = poly.degree
@@ -111,14 +111,14 @@ class NumberField:
         if isinstance(coords, (int, Fraction)):
             num = [coords.numerator] + [0] * (self.degree - 1)
             return FieldElement(self, num, coords.denominator)
-        vec = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
-        if len(vec) != self.degree:
+        num, den = _cleared(coords)
+        if len(num) != self.degree:
             raise NormforgeError("coordinate length must equal the field degree")
-        return FieldElement(self, *_cleared(vec))
+        return FieldElement(self, num, den)
 
     def gen(self):
         if self.degree == 1:
-            return self.element(-self.poly.coeffs[0])
+            return self.element(-self.poly.num[0])
         return self.element([0, 1] + [0] * (self.degree - 2))
 
     def zero(self):
@@ -130,11 +130,11 @@ class NumberField:
     def high_powers(self):
         """theta^k mod f as integer rows of length n, for k = n .. 2n-2."""
         if self._high_powers is None:
-            row = [-c for c in self._ints[:-1]]
+            row = [-c for c in self.poly.num[:-1]]
             rows = []
             for _ in range(self.degree - 1):
                 rows.append(row)
-                row = _times_x(row, self._ints)
+                row = _times_x(row, self.poly.num)
             self._high_powers = rows
         return self._high_powers
 
@@ -163,7 +163,7 @@ class NumberField:
 
 def _poly_label(poly):
     bits = []
-    for i, c in enumerate(poly.coeffs):
+    for i, c in enumerate(poly.num):
         if c == 0:
             continue
         if i == 0:
@@ -185,14 +185,8 @@ class FieldElement:
     __slots__ = ("field", "num", "den", "_coords")
 
     def __init__(self, field, num, den):
-        if den < 0:
-            num, den = [-c for c in num], -den
-        g = math.gcd(den, *num)
-        if g != 1:
-            num, den = [c // g for c in num], den // g
         self.field = field
-        self.num = num
-        self.den = den
+        self.num, self.den = _lowest_terms(num, den)
         self._coords = None
 
     @property
@@ -268,7 +262,7 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0")
         n = len(self.num)
-        cols = _mult_columns(self.field._ints, self.num)
+        cols = _mult_columns(self.field.poly.num, self.num)
         # augmented rows [M | e_0]: M x = e_0 holds the coordinates of 1 / a
         rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
         det = _bareiss(rows, n)
@@ -300,17 +294,10 @@ class FieldElement:
         """N_{K/Q}(alpha), the determinant of multiplication by alpha."""
         if self.is_zero():
             return Fraction(0)
-        return Fraction(_mult_det(self.field._ints, self.num), self.den ** len(self.num))
+        return Fraction(_mult_det(self.field.poly.num, self.num), self.den ** len(self.num))
 
     def __repr__(self):
         return f"FieldElement({self.coords} in {self.field.name})"
-
-
-def _cleared(coords):
-    """(integer vector, common denominator d) with coords = vector / d, for
-    int and Fraction coords."""
-    den = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (den // c.denominator) for c in coords], den
 
 
 def _times_x(v, f):
@@ -407,7 +394,7 @@ class PrimeIdeal:
 
 def dedekind_criterion_ok(field, p):
     """True iff Z[theta] is maximal at p (Dedekind's criterion)."""
-    return _dedekind_holds(field._ints, p, factor_poly_mod_p(field._ints, p))
+    return _dedekind_holds(field.poly.num, p, factor_poly_mod_p(field.poly.num, p))
 
 
 def _dedekind_holds(f, p, factors):
@@ -434,8 +421,8 @@ def splitting_type(field, p):
         return field._splitting_cache[key]
     if not is_prime(p):
         raise NormforgeError(f"{p} is not prime")
-    factors = factor_poly_mod_p(field._ints, p)
-    if not _dedekind_holds(field._ints, p, factors):
+    factors = factor_poly_mod_p(field.poly.num, p)
+    if not _dedekind_holds(field.poly.num, p, factors):
         raise NonMonogenicAtP(f"Z[theta] is not maximal at {p} for {field.name}")
     primes = []
     for idx, (g, e) in enumerate(factors):
@@ -458,7 +445,7 @@ def local_blocks(field, p, m):
         for _ in range(P.e):
             b = pmul(b, list(P.g), p)
         blocks_mod_p.append(b)
-    lifted = lift_blocks(field._ints, blocks_mod_p, p, m)
+    lifted = lift_blocks(field.poly.num, blocks_mod_p, p, m)
     field._block_cache[key] = lifted
     return lifted
 
@@ -609,7 +596,7 @@ def element_support(field, alpha):
     if alpha.is_zero():
         raise NormforgeError("support of 0 is everything")
     A, den = alpha.num, alpha.den
-    num_res = _mult_det(field._ints, A)
+    num_res = _mult_det(field.poly.num, A)
     candidates = set(factorint(den)) if den != 1 else set()
     if num_res != 0:
         candidates |= set(factorint(num_res)) if abs(num_res) != 1 else set()
@@ -798,7 +785,7 @@ def _int_coeff_vector(elem, q):
 
 
 def _reduce_mod_f(vec, field, q):
-    r = pmod(vec, field._ints, q)
+    r = pmod(vec, field.poly.num, q)
     return r + [0] * (field.degree - len(r))
 
 

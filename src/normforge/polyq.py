@@ -1,9 +1,12 @@
-"""Univariate polynomials over Q with exact Fraction coefficients.
+"""Univariate polynomials over Q, stored fraction-free.
 
-Coefficients are stored ascending by degree and the leading coefficient is
-kept nonzero, so `coeffs == []` is the zero polynomial.  The degree of the
-zero polynomial is the distinguished value None, never -1, so accidental
-arithmetic on it fails loudly.
+A polynomial is one integer vector `num`, ascending by degree with no
+trailing zero, over a positive denominator `den`, in lowest terms, so
+`num == []` is the zero polynomial.  Sums and products run on the integer
+vectors, division is one integer pseudo-division (Cohen, GTM 138, section
+3.1), and each result is reduced once; the Fraction `coeffs` are built only
+when read.  The degree of the zero polynomial is the distinguished value
+None, never -1, so accidental arithmetic on it fails loudly.
 
 This module also carries the real-root machinery (Sturm sequences, isolation
 into disjoint rational intervals, interval refinement) used for totally-real
@@ -11,25 +14,54 @@ and total-nonnegativity questions, and the cyclotomic polynomials.
 """
 
 import json
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import NormforgeError
 from .intfunc import factorint
+from .modp import _convolve, trim
 
 
-def _trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _cleared(coeffs):
+    """(integer vector, common denominator d) in lowest terms with
+    coeffs = vector / d, for rational coeffs."""
+    vec = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in vec))
+    return [c.numerator * (den // c.denominator) for c in vec], den
+
+
+def _lowest_terms(num, den):
+    """(num, den) over their gcd with den > 0, for an integer list and a
+    nonzero integer."""
+    if den < 0:
+        num, den = [-c for c in num], -den
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return num, den
+
+
+def _reduced(num, den):
+    """The UniPoly num / den, for an integer list (trimmed in place) and a
+    nonzero integer."""
+    poly = object.__new__(UniPoly)
+    poly.num, poly.den = _lowest_terms(trim(num), den)
+    return poly
 
 
 class UniPoly:
-    """Polynomial over Q, coefficients ascending by degree."""
+    """Polynomial num(x) / den over Q, coefficients ascending by degree.
 
-    __slots__ = ("coeffs",)
+    num is an integer list with no trailing zero and den a positive integer
+    with gcd(den, *num) == 1, so zero is [] over 1.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim([Fraction(c) for c in coeffs])
+        num, self.den = _cleared(coeffs)
+        self.num = trim(num)
 
     @classmethod
     def zero(cls):
@@ -39,56 +71,50 @@ class UniPoly:
     def one(cls):
         return cls([1])
 
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions, built on each read."""
+        return [Fraction(c, self.den) for c in self.num]
 
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def leading(self):
-        if not self.coeffs:
+        if not self.num:
             raise NormforgeError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        # hash(tuple(self.coeffs)): an integer hashes as the equal Fraction
+        return hash(tuple(self.num) if self.den == 1 else tuple(self.coeffs))
 
     def __add__(self, other):
         other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
-        b = other.coeffs + [Fraction(0)] * (n - len(other.coeffs))
-        return UniPoly([x + y for x, y in zip(a, b)])
+        den = math.lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        return _reduced([a * ka + b * kb for a, b in zip_longest(self.num, other.num, fillvalue=0)],
+                        den)
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return _reduced([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __mul__(self, other):
         other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        return _reduced(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -105,25 +131,27 @@ class UniPoly:
         return result
 
     def scale(self, c):
-        return UniPoly([Fraction(c) * a for a in self.coeffs])
+        return self * c
 
     def divmod(self, other):
+        """Integer pseudo-division: the remainder is scaled by the least factor
+        that lets the divisor's top entry divide its own, when that is not 1."""
         other = _coerce(other)
-        if other.is_zero():
+        b = other.num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lc = other.leading()
-        while len(rem) - 1 >= d and _trim(rem):
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lc
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-            _trim(rem)
-        return UniPoly(quo), UniPoly(rem)
+        n, lc, scale = len(b) - 1, b[-1], 1
+        r = list(self.num)
+        q = [0] * max(0, len(r) - n)
+        for k in range(len(r) - 1, n - 1, -1):  # scale * self.num = q * b + r
+            if r[k] % lc:
+                g = abs(lc) // math.gcd(r[k], lc)
+                r, q, scale = [c * g for c in r[:k + 1]], [c * g for c in q], scale * g
+            q[k - n] = t = r[k] // lc
+            for i in range(n):
+                r[k - n + i] -= t * b[i]
+        den = scale * self.den
+        return _reduced([c * other.den for c in q], den), _reduced(r[:n], den)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -132,7 +160,7 @@ class UniPoly:
         return self.divmod(other)[0]
 
     def derivative(self):
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _reduced([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def __call__(self, x):
         """Evaluate by Horner at a number, a UniPoly or a FieldElement.
@@ -141,47 +169,29 @@ class UniPoly:
         self(alpha) the image of alpha in its number field.
         """
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
+        return acc * Fraction(1, self.den)
 
     def eval_interval(self, lo, hi):
         """Enclosure of the image of [lo, hi] (naive interval Horner)."""
         accl, acch = Fraction(0), Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             cands = [accl * lo, accl * hi, acch * lo, acch * hi]
             accl, acch = min(cands) + c, max(cands) + c
-        return accl, acch
+        return accl / self.den, acch / self.den
 
     def monic(self):
-        if self.is_zero():
-            return self
-        lc = self.leading()
-        return UniPoly([c / lc for c in self.coeffs])
-
-    def content_int(self):
-        """Positive rational c with self/c primitive over Z."""
-        if self.is_zero():
-            return Fraction(1)
-        from math import gcd
-
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return _reduced(list(self.num), self.num[-1]) if self.num else self
 
     def primitive_int(self):
         """Integer-coefficient primitive part (positive leading sign kept)."""
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.content_int())
+        return _reduced(list(self.num), math.gcd(*self.num) or 1)
 
     def int_coeffs(self):
-        if any(c.denominator != 1 for c in self.coeffs):
+        if self.den != 1:
             raise NormforgeError("polynomial is not integral")
-        return [c.numerator for c in self.coeffs]
+        return list(self.num)
 
     def __repr__(self):
         if self.is_zero():
@@ -204,9 +214,7 @@ class UniPoly:
 
 
 def _coerce(x):
-    if isinstance(x, UniPoly):
-        return x
-    return UniPoly([Fraction(x)])
+    return x if isinstance(x, UniPoly) else UniPoly([x])
 
 
 def poly_gcd(a, b):
@@ -226,7 +234,7 @@ def resultant(f, g):
     while True:
         da, db = a.degree, b.degree
         if db == 0:
-            return res * b.coeffs[0] ** da
+            return res * b.leading() ** da
         r = a % b
         if r.is_zero():
             return Fraction(0)
@@ -310,9 +318,7 @@ def count_real_roots(f, lo, hi, seq=None):
 
 def root_bound(f):
     """Cauchy bound: all real roots lie in (-B, B)."""
-    lc = abs(f.leading())
-    b = max((abs(c) / lc for c in f.coeffs[:-1]), default=Fraction(0))
-    return b + 1
+    return Fraction(max((abs(c) for c in f.num[:-1]), default=0), abs(f.num[-1])) + 1
 
 
 def real_root_isolate(f):

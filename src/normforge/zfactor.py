@@ -35,8 +35,8 @@ SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 def _mignotte_bound(f):
     # |b_i| <= 2^n * ||f||_2 * |lc| bound on factor coefficients
     n = f.degree
-    norm = math.isqrt(sum(int(c) * int(c) for c in f.int_coeffs())) + 1
-    return 2 ** n * norm * abs(int(f.leading()))
+    norm = math.isqrt(sum(c * c for c in f.num)) + 1
+    return 2 ** n * norm * abs(f.num[-1])
 
 
 def _factor_squarefree_z(f):
@@ -46,7 +46,7 @@ def _factor_squarefree_z(f):
         return []
     if n == 1:
         return [f]
-    ints = f.int_coeffs()
+    ints = f.num
     lc = ints[-1]
     # choose a prime keeping f squarefree mod p, fewest modular factors wins
     best = None
@@ -82,13 +82,12 @@ def _factor_squarefree_z(f):
             cand = [1]
             for i in combo:
                 cand = pmul(cand, lifted[i], q)
-            lc_cur = int(current.leading())
-            cand = [centered_residue(c * lc_cur, q) for c in cand]
+            cand = [centered_residue(c * current.num[-1], q) for c in cand]
             cand_poly = UniPoly(cand).primitive_int()
             if cand_poly.degree == 0:
                 continue
             quo, rem = current.divmod(cand_poly)
-            if rem.is_zero() and all(c.denominator == 1 for c in quo.coeffs):
+            if rem.is_zero() and quo.den == 1:
                 out.append(cand_poly)
                 current = quo
                 remaining = [i for i in remaining if i not in combo]
@@ -118,7 +117,7 @@ def factor_over_q(f):
     if f.is_zero():
         raise NormforgeError("cannot factor zero")
     const = f.leading()
-    ints = f.primitive_int().int_coeffs()
+    ints = f.primitive_int().num
     # squarefree mod some p not dividing lc(f) proves f squarefree over Q
     if any(_squarefree_mod(ints, p) for p in SIEVE_PRIMES):
         parts = [(f.monic(), 1)]
@@ -166,7 +165,7 @@ def is_irreducible_over_q(f):
     integer below q/2 in size, and the root mod p it reduces to is simple, so
     its lift is unique.  Zassenhaus decides whatever is left open.
     """
-    ints = f.primitive_int().int_coeffs() if isinstance(f, UniPoly) else trim(list(f))
+    ints = f.primitive_int().num if isinstance(f, UniPoly) else trim(list(f))
     n = len(ints) - 1
     if n < 1:
         return False

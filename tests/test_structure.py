@@ -220,7 +220,23 @@ def test_field_elements_have_one_stored_form():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         readers |= {f"{path.name}:{qualname}" for qualname in _enclosing_functions(tree, "_cleared")}
-    assert readers == {"numberfield.py:NumberField.element"}
+    assert readers == {"numberfield.py:NumberField.element", "polyq.py:UniPoly.__init__"}
+
+
+INTEGER_METHODS = ("__add__", "__sub__", "__mul__", "divmod", "derivative", "monic",
+                   "primitive_int", "int_coeffs")
+
+
+def test_univariate_polynomials_have_one_stored_form():
+    # a polynomial is an integer vector over one denominator; its Fraction
+    # coefficients are derived, and its arithmetic runs on the integers
+    from normforge.polyq import UniPoly
+
+    assert "coeffs" not in UniPoly.__slots__
+    assert {"num", "den"} <= set(UniPoly.__slots__)
+    tree = ast.parse((PACKAGE / "polyq.py").read_text(), filename="polyq.py")
+    readers = _enclosing_functions(tree, "Fraction")
+    assert readers & {f"UniPoly.{name}" for name in INTEGER_METHODS} == set()
 
 
 def test_only_valuation_reads_the_infinite_valuation():
