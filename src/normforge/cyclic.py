@@ -120,10 +120,10 @@ def _cyclic_mul(a, b):
 
 
 def _cyclotomic_coords(vec, n):
-    """Coordinates in the power basis of Q(xi_n) of a vector in Z[x]/(x^n - 1)."""
+    """Integer coordinates in the power basis of Q(xi_n) of a vector in Z[x]/(x^n - 1)."""
     phi = cyclotomic_poly(n)
-    red = (UniPoly(vec) % phi).coeffs
-    return red + [Fraction(0)] * (phi.degree - len(red))
+    red = (UniPoly(vec) % phi).num  # phi is monic, so the remainder stays in Z
+    return red + [0] * (phi.degree - len(red))
 
 
 def _periods(ell, H, n, scale):
@@ -273,7 +273,7 @@ def kummer_generator(ell, q):
     trace = [0] * q
     for i, c in enumerate(a_vec):
         trace[i % q] += c * (ell - 1 if i % ell == 0 else -1)
-    a = NumberField.cyclotomic(q).element([c / (ell - 1) for c in _cyclotomic_coords(trace, q)])
+    a = NumberField.cyclotomic(q).element([Fraction(c, ell - 1) for c in _cyclotomic_coords(trace, q)])
     if a.is_zero():
         raise NormforgeError("Lagrange resolvent vanished; no Kummer generator")
     return a, Hdata

@@ -103,8 +103,8 @@ class UniPoly:
         other = _coerce(other)
         den = math.lcm(self.den, other.den)
         ka, kb = den // self.den, den // other.den
-        return _reduced([a * ka + b * kb for a, b in zip_longest(self.num, other.num, fillvalue=0)],
-                        den)
+        pairs = zip_longest(self.num, other.num, fillvalue=0)
+        return _reduced([a * ka + b * kb for a, b in pairs], den)
 
     def __neg__(self):
         return _reduced([-c for c in self.num], self.den)
