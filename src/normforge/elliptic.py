@@ -145,6 +145,8 @@ def denominator_divisibility_search(E, P, A, m, k_max=40):
         raise NormforgeError("A must be a positive integer")
     if m < 1:
         raise NormforgeError("m must be a positive integer")
+    if k_max < 1:
+        raise NormforgeError("k_max must be a positive integer")
     if not certify_infinite_order(E, P):
         raise HypothesisFail(["P has small torsion order"], "infinite order screen failed")
     cache = MultipleCache(E, P)
@@ -183,6 +185,8 @@ def equiv_divisibility_check(E, P, m, l, k, cache=None):
 
 def find_equiv_m(E, P, m_max=6, k_range=5, l_range=5):
     """Least m passing the divisibility for all sampled (k, l); NotFound else."""
+    if m_max < 1:
+        raise NormforgeError("m_max must be a positive integer")
     cache = MultipleCache(E, P)
     ledger = []
     for m in range(1, m_max + 1):

@@ -144,7 +144,7 @@ def multiplicative_order(a, n):
     if math.gcd(a, n) != 1:
         raise ValueError("not a unit")
     # start from the group order and strip each prime while possible
-    order = _group_order(n)
+    order = euler_phi(n)
     for p, e in factorint(order).items():
         for _ in range(e):
             if pow(a, order // p, n) == 1:
@@ -155,13 +155,8 @@ def multiplicative_order(a, n):
     return order
 
 
-def _group_order(n):
-    # euler phi
+def euler_phi(n):
     phi = 1
     for p, e in factorint(n).items():
         phi *= (p - 1) * p ** (e - 1)
     return phi
-
-
-def euler_phi(n):
-    return _group_order(n)

@@ -2,62 +2,54 @@
 
 The test rests on Trager's correspondence (Trager, "Algebraic factoring and
 rational function integration", SYMSAC 1976; Cohen, GTM 138, section 3.6).
-Let f be the defining polynomial of K, n = [K:Q], and h in Q[y] squarefree.
-For a shift s with
+Let f be the defining polynomial of K, n = [K:Q], and h in Z[y] monic and
+squarefree.  For a shift s with
 
     N_s(y) = Res_x(f(x), h(y - s*x))
 
 squarefree, the irreducible factors of h over K match the irreducible
 factors of N_s over Q one to one, a factor of degree k matching one of
 degree k*n.  So h has a root in K exactly when N_s has a factor over Q of
-degree n, and no arithmetic in K[y] is needed.  Squarefreeness is read off
-the factorization itself: a shift is accepted when every multiplicity is 1.
+degree n.  A shift is taken once a sieve prime certifies N_s squarefree.
 
-Since f is monic, N_s(k) is the field norm of h(k - s*theta).  The values
-at n*deg(h) + 1 integers k are norms in K, each one integer determinant,
-and exact Lagrange interpolation gives N_s.
+N_s(k) is the field norm of h(k - s*theta), an integer determinant.  The
+norms at k = 0 .. n*deg(h) give N_s by Newton forward differences, every
+division exact in Z[y].
 """
-
-from fractions import Fraction
 
 from .errors import NonMonogenicAtP, NormforgeError
 from .numberfield import splitting_type
 from .polyq import UniPoly, cyclotomic_poly, poly_gcd
-from .zfactor import factor_over_q
+from .zfactor import _factor_squarefree_z, squarefree_by_sieve
 
 
-def _lagrange_interpolate(points):
-    """Exact UniPoly through [(x_i, y_i)] with distinct rational x_i.
+def _newton_interpolate(values):
+    """The integer polynomial N with N(k) = values[k] for k = 0, 1, ..., D.
 
-    Each basis numerator prod_(j != i) (y - x_j) is the master product
-    prod_j (y - x_j) divided by y - x_i, one synthetic division, so D points
-    cost O(D^2) rational operations.
+    Row k holds Delta^k N(j) / k!, integers when N is in Z[y], and its first
+    entry is N's coefficient at y (y - 1) ... (y - k + 1); an inexact
+    division means no integer N takes the values.
     """
-    xs = [Fraction(x) for x, _ in points]
-    master = [Fraction(1)]  # ascending coefficients
-    for x in xs:
-        master = [a - x * b for a, b in zip([Fraction(0)] + master, master + [Fraction(0)])]
-    out = [Fraction(0)] * len(xs)
-    for i, (xi, (_, yi)) in enumerate(zip(xs, points)):
-        if yi == 0:
-            continue
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                den *= xi - xj
-        scale = yi / den
-        carry = Fraction(0)
-        for k in range(len(xs), 0, -1):  # quotient coefficients, top down
-            carry = master[k] + carry * xi
-            out[k - 1] += carry * scale
+    newton, row = [], list(values)
+    for k in range(len(row)):
+        steps = [divmod(v, max(k, 1)) for v in row]
+        if any(r for _, r in steps):
+            raise NormforgeError("no integer polynomial takes these values")
+        newton.append(steps[0][0])
+        row = [b - a for (a, _), (b, _) in zip(steps, steps[1:])]
+    out = []  # Horner in the falling-factorial basis, ascending coefficients
+    for k in range(len(newton) - 1, -1, -1):
+        out = [a - k * b for a, b in zip([0] + out, out + [0])]
+        out[0] += newton[k]
     return UniPoly(out)
 
 
 def norm_poly(field, h, s):
-    """N_s(y) = Res_x(f(x), h(y - s*x)) from the norms N(h(k - s*theta))."""
+    """N_s(y) = Res_x(f(x), h(y - s*x)) for integer h, from the integer
+    norms N(h(k - s*theta))."""
     shift = s * field.gen()
-    return _lagrange_interpolate([(k, h(field.element(k) - shift).norm())
-                                  for k in range(field.degree * h.degree + 1)])
+    return _newton_interpolate([h(field.element(k) - shift).norm()
+                                for k in range(field.degree * h.degree + 1)])
 
 
 def has_root_in_field(field, h):
@@ -67,12 +59,17 @@ def has_root_in_field(field, h):
         return False
     if h.is_zero() or poly_gcd(h, h.derivative()).degree > 0:
         raise NormforgeError("has_root_in_field expects a squarefree input")
+    # den^n h(y / den) is monic in Z[y], with a root in K exactly when h has
+    h = UniPoly([c * h.den ** (h.degree - 1 - i) for i, c in enumerate(h.num[:-1])] + [1])
     # N_0 = +-h^[K:Q] is squarefree only when K = Q; N_s is monic, never zero
     for s in range(0 if field.degree == 1 else 1, 32):
-        _, factors = factor_over_q(norm_poly(field, h, s))
-        if all(mult == 1 for _, mult in factors):
-            return any(g.degree == field.degree for g, _ in factors)
-    raise NormforgeError("no squarefree norm shift found")
+        norm = norm_poly(field, h, s)
+        if squarefree_by_sieve(norm.num):
+            break
+    else:
+        if poly_gcd(norm, norm.derivative()).degree > 0:
+            raise NormforgeError("no squarefree norm shift found")
+    return any(g.degree == field.degree for g in _factor_squarefree_z(norm))
 
 
 def has_primitive_root_of_unity(field, q):

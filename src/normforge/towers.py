@@ -74,6 +74,8 @@ class TowerRecipe:
         self.annotations = dict(annotations or {})
 
     def truncated(self, depth):
+        if depth < 0:
+            raise NormforgeError(f"depth {depth} is negative")
         if depth > len(self.steps):
             raise NormforgeError(f"recipe {self.name} has only {len(self.steps)} steps")
         return self.steps[:depth]
@@ -389,7 +391,7 @@ def classify_prime(tree, q):
     if not tree.nodes:
         raise NormforgeError("empty tree")
     scope = ""
-    if getattr(tree, "analytic", False):
+    if tree.analytic:
         scope = ("recipe chain only; grafts not examined; cyclotomic closed-form "
                  "(e, f), evidence extends analytically beyond this depth")
     depth = tree.depth

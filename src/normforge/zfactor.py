@@ -25,7 +25,7 @@ import math
 
 from .errors import NormforgeError
 from .hensel import lift_blocks
-from .intfunc import centered_residue, is_prime, next_prime
+from .intfunc import centered_residue, next_prime
 from .modp import distinct_degree, factor_poly_mod_p, pderiv, peval, pgcd, pmonic, pmul, pnormalize, trim
 from .polyq import UniPoly, yun_squarefree
 
@@ -95,14 +95,12 @@ def _factor_squarefree_z(f):
                 break
         if not progressed:
             r += 1
-    if current.degree and current.degree > 0:
+    if current.degree:
         out.append(current.primitive_int())
     return out
 
 
 def _squarefree_mod(ints, p):
-    if not is_prime(p):
-        return False
     fp = pnormalize(list(ints), p)
     if len(fp) != len(ints):
         return False
@@ -112,17 +110,18 @@ def _squarefree_mod(ints, p):
     return len(pgcd(fp, d, p)) == 1
 
 
+def squarefree_by_sieve(ints):
+    """True if some SIEVE_PRIMES p, not dividing lc, keeps the integer
+    polynomial squarefree mod p, which proves it squarefree over Q."""
+    return any(_squarefree_mod(ints, p) for p in SIEVE_PRIMES)
+
+
 def factor_over_q(f):
     """Factor a UniPoly over Q: (constant, [(monic irreducible, mult)])."""
     if f.is_zero():
         raise NormforgeError("cannot factor zero")
     const = f.leading()
-    ints = f.primitive_int().num
-    # squarefree mod some p not dividing lc(f) proves f squarefree over Q
-    if any(_squarefree_mod(ints, p) for p in SIEVE_PRIMES):
-        parts = [(f.monic(), 1)]
-    else:
-        parts = yun_squarefree(f)
+    parts = [(f.monic(), 1)] if squarefree_by_sieve(f.primitive_int().num) else yun_squarefree(f)
     out = []
     for sq, mult in parts:
         for g in _factor_squarefree_z(sq.primitive_int()):

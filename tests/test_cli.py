@@ -188,6 +188,30 @@ def test_ec_lemmas_rejects_m_below_one(capsys):
     assert (report["error"], report["message"]) == ("NormforgeError", "m must be a positive integer")
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_ec_lemmas_rejects_bound_below_one(capsys, bound):
+    # an empty search range used to be reported as a failed search (NotFound)
+    code, out = run_cli(["ec", "lemmas", "--curve", '{"a": 0, "c": -2}',
+                         "--point", '{"x": 3, "y": 5}', "--bound", bound], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert (report["error"], report["message"]) == ("NormforgeError",
+                                                    "k_max must be a positive integer")
+
+
+@pytest.mark.parametrize("command", [["grow"], ["classify", "--q", "2"]])
+def test_tower_commands_reject_a_negative_depth(capsys, command):
+    # depth -1 used to slice the recipe from its end: a root-only tree, exit 0
+    args = ["tower", *command, "--recipe", "five-power", "--prime", "2"]
+    code, out = run_cli(args + ["--depth", "-1"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert (report["error"], report["message"]) == ("NormforgeError", "depth -1 is negative")
+    code, out = run_cli(args + ["--depth", "0"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["tree"]["nodes"]) == 1
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     for _ in range(2):
@@ -263,6 +287,18 @@ def test_verdict_reports_byte_pinned(tmp_path, capsys, args, digest):
     code, out = run_cli([a.format(spec=path) for a in args], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_zero_element_stand_in_byte_pinned(tmp_path, capsys):
+    # over Q with q = 2, x = b = 1/5 and c = 1, the ledger tracks c - 1 = 0
+    # with radical.tracked_node's stand-in valuation 10**9 for +infinity
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(README_SPEC, field={"poly": ["0", "1"]}, q=2,
+                                    x=["1/5"], b=["1/5"], c=["1"])))
+    code, out = run_cli(["normeq", "analyze", "--instance", str(path)], capsys)
+    assert code == 0
+    assert '"v": 1000000000' in out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "87d5cb4e176597a4"
 
 
 EC_ARGS = ["ec", "mul", "--curve", '{"a": 0, "c": -2}', "--point", '{"x": 3, "y": 5}']

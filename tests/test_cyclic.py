@@ -154,9 +154,9 @@ def test_kummer_generator_properties():
     for k in range(3):
         y0 = Fraction(k)
         pts.append((y0, resultant(K.poly, UniPoly([y0]) - apoly)))
-    from normforge.kpoly import _lagrange_interpolate
+    from normforge.kpoly import _newton_interpolate
 
-    charpoly = _lagrange_interpolate(pts)
+    charpoly = _newton_interpolate([v for _, v in pts])
     # substitute y -> x^3 to get the absolute polynomial of a^(1/3)
     absolute = charpoly(UniPoly([0, 0, 0, 1]))
     assert absolute.degree == 6

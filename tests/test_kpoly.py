@@ -8,7 +8,7 @@ import pytest
 from normforge import kpoly, zfactor
 from normforge.cyclic import gaussian_period_subfield
 from normforge.errors import NonMonogenicAtP, NormforgeError
-from normforge.kpoly import has_primitive_root_of_unity, has_root_in_field, norm_poly
+from normforge.kpoly import _newton_interpolate, has_primitive_root_of_unity, has_root_in_field, norm_poly
 from normforge.numberfield import NumberField, splitting_type
 from normforge.polyq import UniPoly, cyclotomic_poly, resultant, yun_squarefree
 from normforge.zfactor import SIEVE_PRIMES, _factor_squarefree_z, _squarefree_mod, factor_over_q
@@ -118,10 +118,52 @@ def test_norm_poly_matches_the_euclidean_resultant(m, h, s):
     # factor of degree 2, yet no root lies in Q(sqrt2)
     (NumberField(UniPoly([-2, 0, 1])), UniPoly([1, 0, -10, 0, 1]), False),
 ], ids=["zeta5", "zeta7", "sqrt2"])
-def test_a_first_shift_norm_with_a_repeated_factor_is_skipped(field, h, has_root):
+def test_a_first_shift_norm_with_a_repeated_factor_is_skipped(field, h, has_root, monkeypatch):
     _, factors = factor_over_q(norm_poly(field, h, 1))
     assert any(mult > 1 for _, mult in factors)
+    # a shift is taken only when a sieve prime certifies its norm, so no
+    # Yun decomposition runs on the uncertified first norm
+    monkeypatch.setattr(zfactor, "yun_squarefree", _no_yun)
     assert has_root_in_field(field, h) == has_root
+
+
+def _no_yun(f):
+    raise AssertionError(f"Yun ran on a norm of degree {f.degree}")
+
+
+P29 = 6469693230  # 2 * 3 * 5 * ... * 29: every sieve prime divides these discriminants
+
+
+@pytest.mark.parametrize("field, h, has_root", [
+    (NumberField.rationals(), UniPoly([-P29, 0, 1]), False),
+    (NumberField.cyclotomic(4), UniPoly([-P29, 0, 1]), False),
+    (NumberField.rationals(), UniPoly([-P29 ** 2, 0, 1]), True),
+    (NumberField.cyclotomic(4), UniPoly([P29 ** 2, 0, 1]), True),
+], ids=["Q-nonsquare", "Qi-nonsquare", "Q-square", "Qi-minus-square"])
+def test_a_norm_no_sieve_prime_certifies_is_decided_by_one_gcd(field, h, has_root, monkeypatch):
+    for s in range(32):
+        assert not any(_squarefree_mod(norm_poly(field, h, s).num, p) for p in SIEVE_PRIMES)
+    monkeypatch.setattr(zfactor, "yun_squarefree", _no_yun)
+    monkeypatch.setattr(zfactor, "factor_over_q", _no_yun)
+    assert has_root_in_field(field, h) == has_root
+
+
+def test_a_rational_root_test_matches_its_integer_scaling():
+    # h = y^2 - 9/4 has the roots +-3/2; 4 h(y / 2) = y^2 - 9
+    assert has_root_in_field(NumberField.rationals(), UniPoly([Fraction(-9, 4), 0, 1]))
+    assert has_root_in_field(NumberField.cyclotomic(4), UniPoly([Fraction(9, 4), 0, 4]))  # +-3i/4
+    assert not has_root_in_field(NumberField.cyclotomic(4), UniPoly([Fraction(-1, 3), 0, 5]))
+
+
+def test_newton_interpolation_is_exact_on_integers():
+    rng = random.Random(1977)
+    for _ in range(20):
+        N = UniPoly([rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 12))])
+        assert _newton_interpolate([N(k) for k in range(N.degree + 1)]) == N
+    # y (y - 1) / 2 takes the values 0, 0, 1 but is not in Z[y]; nor is 1/2
+    for values in ([0, 0, 1], [Fraction(1, 2)], [1, 2, 4, 8]):
+        with pytest.raises(NormforgeError, match="no integer polynomial"):
+            _newton_interpolate(values)
 
 
 def _factor_by_yun(f):

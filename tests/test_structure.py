@@ -256,6 +256,16 @@ def test_one_sieve_loop_factors_by_degree():
     assert _enclosing_functions(tree, "distinct_degree") == {"is_irreducible_over_q"}
 
 
+def test_trager_runs_on_integers():
+    # N_s is interpolated by exact integer differences and a shift is taken
+    # on the sieve's certificate, so kpoly names no Fraction and no Yun
+    source = (PACKAGE / "kpoly.py").read_text()
+    for name in ("Fraction", "factor_over_q", "yun_squarefree"):
+        assert not re.search(rf"\b{name}\b", source), name
+    tree = ast.parse((PACKAGE / "zfactor.py").read_text(), filename="zfactor.py")
+    assert _enclosing_functions(tree, "squarefree_by_sieve") == {"factor_over_q"}
+
+
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "factorial"}
 
 
