@@ -12,9 +12,10 @@ Both searches are bounded and report NotFound with their ledger rather than
 pretending the bound is a proof.
 """
 
+import sys
 from fractions import Fraction
 
-from .errors import HypothesisFail, NormforgeError, NotFound
+from .errors import HypothesisFail, NormforgeError, NotFound, OutputTooLarge
 
 
 class EllipticCurve:
@@ -95,9 +96,25 @@ class CurvePoint:
         return f"CurvePoint({self.x}, {self.y})"
 
     def to_json(self):
+        """Decimal-string coordinates; OutputTooLarge where CPython's limit
+        on int-to-str conversion refuses one."""
         if self.is_infinity():
             return {"infinity": True}
+        limit = sys.get_int_max_str_digits()
+        digits = max(_decimal_digits(c) for v in (self.x, self.y) for c in (v.numerator, v.denominator))
+        if limit and digits > limit:
+            raise OutputTooLarge(f"a coordinate integer has {digits} decimal digits, "
+                                 f"past the {limit}-digit limit on printing one")
         return {"x": str(self.x), "y": str(self.y)}
+
+
+def _decimal_digits(n):
+    """Decimal digits of the nonzero integer n, counted without str(n)."""
+    n = abs(n)
+    d = (n.bit_length() - 1) * 3 // 10 + 1  # 10^(d-1) <= n, as 3/10 < log10(2)
+    while n >= 10 ** d:
+        d += 1
+    return d
 
 
 def multiply_point(E, P, n):

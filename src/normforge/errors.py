@@ -76,6 +76,10 @@ class IncompleteAssignment(NormforgeError):
     pass
 
 
+class OutputTooLarge(NormforgeError):
+    """A result has an integer too long for CPython to print as a string."""
+
+
 class NotFound(NormforgeError):
     """Bounded search ended without a witness; carries the search ledger."""
 

@@ -17,14 +17,14 @@ from g^e is the local factor F_P, and
 
     v_P(alpha) = v_p(Res(F_P, A)) / f_deg      (A integral representative)
 
-corrected for the power of p cleared from denominators; at a block x - r of
-degree one the resultant is A(r).  Each valuation is one certified pass: a
-lift mod p^m gives a resultant that is correct mod p^m, so the first value
-below m is exact, and m doubles only while p^m divides it.  Residue maps
+corrected for the power of p cleared from denominators.  Each valuation is
+one certified pass: a lift mod p^m gives a resultant that is correct mod p^m,
+so the first value below m is exact, and m doubles only while p^m divides it.
+At a block x - r of degree one the resultant is A(r), the p-adic image of A,
+which also gives the unit residue at once (`padic_unit`).  Residue maps
 divide the reduced representative by the cleared p-power inside
 Z/p^m[x]/(F_P), which is valid in the discrete valuation ring whatever the
-ramification; with no p in the denominator they reduce mod (p, g) directly,
-since F_P = g^e mod p.
+ramification; with no p in the denominator they reduce mod (p, g) directly.
 """
 
 from fractions import Fraction
@@ -359,7 +359,7 @@ def _mult_det(f, a):
 class PrimeIdeal:
     """Prime of K above p, presented Kummer-Dedekind style as (p, g(theta))."""
 
-    __slots__ = ("field", "p", "g", "e", "f_deg", "index", "_residue_field")
+    __slots__ = ("field", "p", "g", "e", "f_deg", "index", "_residue_field", "_w")
 
     def __init__(self, field, p, g, e, f_deg, index):
         self.field = field
@@ -370,6 +370,7 @@ class PrimeIdeal:
         self.index = index  # position in the canonical splitting order
         self._residue_field = (FiniteField(p) if f_deg == 1
                                else FiniteField(p, list(g), check=False))
+        self._w = None  # w mod p, pi(r) = p w, for padic_unit at e = f = 1
 
     def residue_field(self):
         return self._residue_field
@@ -459,39 +460,42 @@ def _integral_rep(alpha, p):
 
 
 def valuation(field, P, alpha):
-    """v_P(alpha); returns the float +inf for alpha = 0.
-
-    One certified pass: the block is lifted to p^m, from m = 2s + 8, and m
-    doubles only while p^m divides the resultant.  A lift mod p^m gives a
-    resultant that is correct mod p^m, so the first value below m is exact.
-    At a block of degree one the resultant is one Horner evaluation mod p^m.
-    """
+    """v_P(alpha); returns the float +inf for alpha = 0."""
     alpha = field.element(alpha)
     if alpha.is_zero():
         return INF
+    return _certified_image(field, P, alpha)[0]
+
+
+def _certified_image(field, P, alpha):
+    """(v_P(alpha), R, v_p(R), d0) for alpha = A(theta) / (p^s d0) != 0.
+
+    One pass: P's block F is lifted to p^m, from m = 2s + 8, and m doubles
+    only while p^m divides R = Res(F, A) mod p^m.  At a block x - r,
+    R = A(r) is the p-adic image of A.
+    """
     p = P.p
-    A, s, _ = _integral_rep(alpha, p)
+    A, s, d0 = _integral_rep(alpha, p)
     m = 2 * s + 8
     while m <= MAX_PRECISION:
-        v_res = _resultant_valuation(local_blocks(field, p, m)[P.index], A, p, m)
-        if v_res is not None:
-            if v_res % P.f_deg != 0:
+        found = _resultant_valuation(local_blocks(field, p, m)[P.index], A, p, m)
+        if found is not None:
+            t, res = found
+            if t % P.f_deg != 0:
                 raise AssertionError("resultant valuation not divisible by f_deg")
-            return v_res // P.f_deg - P.e * s
+            return t // P.f_deg - P.e * s, res, t, d0
         m *= 2
     raise PrecisionExhausted(f"valuation at p={p} beyond precision cap")
 
 
 def _resultant_valuation(F, A, p, m):
-    """v_p(Res(F, A)) if p^m does not divide it, else None.
+    """(v_p(R), R) for R = Res(F, A) mod p^m if p^m does not divide it, else None.
 
-    F is the lifted monic block, known mod p^m only.  Res is an integer
-    polynomial in the coefficients, so a lift mod p^m gives a resultant that
-    is correct mod p^m, and any valuation below m is exact.  A block x - r
-    of degree one gives Res(F, A) = A(r), one Horner pass mod p^m.
-    Otherwise A is reduced centered mod p^m to keep sizes down; F is monic,
-    so Res(F, A) = prod A(theta_i) = det(multiplication by A mod F) is
-    insensitive to A's nominal degree.
+    F is the lifted monic block, known mod p^m only.  R is an integer
+    polynomial in the coefficients, so a lift mod p^m gives R correct mod
+    p^m, and any valuation below m is exact.  A block x - r of degree one
+    gives R = A(r), one Horner pass mod p^m.  Otherwise A is reduced
+    centered mod p^m; F is monic, so R = det(multiplication by A mod F).
     """
     q = p ** m
     if len(F) == 2:
@@ -503,7 +507,23 @@ def _resultant_valuation(F, A, p, m):
         exact = _mult_det([centered_residue(c, q) for c in F], a)
     if exact % q == 0:
         return None
-    return valuation_int(exact, p)
+    return valuation_int(exact, p), exact
+
+
+def padic_unit(field, P, alpha):
+    """(v_P(alpha), residue of alpha / pi^v) at P with e = f = 1, alpha != 0.
+
+    theta -> r, the root of P's block x - r, embeds K in Q_p.  It maps
+    alpha = A(theta) / (p^s d0) to R / (p^s d0), R = A(r), and
+    pi = uniformizer(field, P) to p w, w a unit whose residue is cached on
+    P.  So v = v_p(R) - s and the residue is R / (p^(v+s) d0 w^v) mod p.
+    """
+    p = P.p
+    if P._w is None:
+        _, R, t, d0 = _certified_image(field, P, uniformizer(field, P))
+        P._w = R // p ** t * pow(d0, -1, p)
+    v, R, t, d0 = _certified_image(field, P, field.element(alpha))
+    return v, P.residue_field().element(R // p ** t * pow(d0, -1, p) * pow(P._w, -v, p))
 
 
 def residue_map(field, P, alpha):
@@ -554,14 +574,8 @@ def omega_membership(field, alpha, q):
     alpha = field.element(alpha)
     if alpha.is_zero():
         return True
-    roots = field.real_root_intervals()
-    if not roots:
-        return True
     g = alpha.poly()
-    for iv in roots:
-        if sign_at_root(g, field.poly, iv) < 0:
-            return False
-    return True
+    return all(sign_at_root(g, field.poly, iv) >= 0 for iv in field.real_root_intervals())
 
 
 def theta_phi_membership(field, c, S, q):
@@ -576,11 +590,7 @@ def theta_phi_membership(field, c, S, q):
     if cm1.is_zero():
         return True, True
     in_theta = all(valuation(field, P, cm1) >= 1 for P in S)
-    in_phi = True
-    for Q in splitting_type(field, q):
-        if valuation(field, Q, cm1) < 3 * Q.e:
-            in_phi = False
-            break
+    in_phi = all(valuation(field, Q, cm1) >= 3 * Q.e for Q in splitting_type(field, q))
     return in_theta, in_phi
 
 
@@ -749,8 +759,8 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
                     comp = [p ** shift % q]
                 target_poly = padd(target_poly, pmul(comp, idem[P.index], q), q)
             # reduce modulo the full f to stay inside the power basis
-            red = _reduce_mod_f(target_poly, field, q)
-            residue_targets.append((q, red))
+            red = pmod(target_poly, field.poly.num, q)
+            residue_targets.append((q, red + [0] * (n - len(red))))
 
         # coefficient-wise CRT across rational primes
         moduli = [q for q, _ in residue_targets] or [1]
@@ -782,11 +792,6 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
 
 def _int_coeff_vector(elem, q):
     return trim([_frac_mod(c, q) for c in elem.coords])
-
-
-def _reduce_mod_f(vec, field, q):
-    r = pmod(vec, field.poly.num, q)
-    return r + [0] * (field.degree - len(r))
 
 
 def _verify_constraints(field, cand, valuations, congruences):

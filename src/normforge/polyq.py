@@ -13,7 +13,6 @@ into disjoint rational intervals, interval refinement) used for totally-real
 and total-nonnegativity questions, and the cyclotomic polynomials.
 """
 
-import json
 import math
 from fractions import Fraction
 from itertools import zip_longest
@@ -208,8 +207,6 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls([Fraction(str(c)) for c in data])
 
 

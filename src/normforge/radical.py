@@ -38,6 +38,7 @@ from .local import LocalPrime, radical_children
 from .modp import _frac_mod
 from .numberfield import (
     element_support,
+    padic_unit,
     residue_map,
     splitting_type,
     uniformizer,
@@ -128,10 +129,10 @@ def primes_of_interest(spec, extra=()):
 def tracked_node(field, P, q, elements):
     """LocalPrime at P tracking each named element: valuation and residue.
 
-    The residue is the element's own when it is a unit, else that of its unit
-    part after a uniformizer shift; at a factor of q only units get one.  A
-    zero element gets the valuation 10**9, a stand-in for +infinity that
-    passes every guard.
+    The residue is that of the element's unit part, alpha / pi^v, read off
+    one p-adic image at e = f = 1 (`padic_unit`); at a factor of q only
+    units get one.  A zero element gets the valuation 10**9, a stand-in for
+    +infinity that passes every guard.
     """
     node = LocalPrime(P.p, P.e, P.f_deg)
     pi = None
@@ -139,15 +140,18 @@ def tracked_node(field, P, q, elements):
         if val.is_zero():
             node.track(key, 10 ** 9)
             continue
-        v = valuation(field, P, val)
-        res = None
-        if v == 0:
-            res = residue_map(field, P, val)
-        elif P.p != q:
-            if pi is None:
-                pi = uniformizer(field, P)
-            res = residue_map(field, P, val * pi ** (-v))
-        node.track(key, v, res)
+        if P.e == P.f_deg == 1:
+            v, res = padic_unit(field, P, val)
+        else:
+            v = valuation(field, P, val)
+            res = None
+            if v == 0:
+                res = residue_map(field, P, val)
+            elif P.p != q:
+                if pi is None:
+                    pi = uniformizer(field, P)
+                res = residue_map(field, P, val * pi ** (-v))
+        node.track(key, v, res if v == 0 or P.p != q else None)
     return node
 
 

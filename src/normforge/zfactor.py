@@ -48,12 +48,20 @@ def _factor_squarefree_z(f):
         return [f]
     ints = f.num
     lc = ints[-1]
+    # a prime that fails divides Res(f, f') = +-lc disc(f), nonzero for
+    # squarefree f; Hadamard's bound on the Sylvester matrix gives
+    # |Res| < 2^(bad + 1/2), so at most `bad` primes can fail
+    bad = ((n - 1) * sum(c * c for c in ints).bit_length()
+           + n * sum((i * c) ** 2 for i, c in enumerate(ints)).bit_length()) // 2
     # choose a prime keeping f squarefree mod p, fewest modular factors wins
     best = None
     p = 2
     tried = 0
     while tried < 6:
         while lc % p == 0 or not _squarefree_mod(ints, p):
+            bad -= 1
+            if bad < 0:
+                raise AssertionError("input to _factor_squarefree_z is not squarefree")
             p = next_prime(p)
         fac = factor_poly_mod_p(ints, p)
         if best is None or len(fac) < len(best[1]):

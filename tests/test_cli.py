@@ -323,6 +323,18 @@ def test_construction_reports_byte_pinned(tmp_path, capsys, args, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
 
 
+def test_ec_mul_past_the_int_printing_limit_is_a_domain_error():
+    # [70]P has a coordinate of 4,308 digits, past CPython's 4,300-digit
+    # int-to-str limit: a domain error naming the size, not a usage error
+    proc = run_module(EC_ARGS + ["--n", "70"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = json.loads(proc.stdout)
+    assert report["error"] == "OutputTooLarge" and "4308 decimal digits" in report["message"]
+    proc = run_module(EC_ARGS + ["--n", "60"])
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == "ef88c44a271dd3d8"
+
+
 def test_depth_cap_enforced(capsys):
     code, out = run_cli(["--depth-cap", "2", "tower", "grow", "--recipe", "five-power",
                          "--prime", "2", "--depth", "3"], capsys)

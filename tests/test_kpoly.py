@@ -201,3 +201,15 @@ def test_factor_over_q_matches_the_yun_path():
             assert not any(_squarefree_mod(ints, p) for p in SIEVE_PRIMES)
             repeated += 1
     assert repeated >= 20
+
+
+@pytest.mark.parametrize("f", [UniPoly([0, 0, 1, 1]), UniPoly([4, 0, -4, 0, 1])])
+def test_factoring_a_polynomial_with_a_repeated_factor_fails_at_once(f, monkeypatch):
+    # x^2 (x + 1) and (x^2 - 2)^2 stay non-squarefree mod every prime; the
+    # prime search stops after the primes that can divide lc disc(f)
+    tried = []
+    real = zfactor.next_prime
+    monkeypatch.setattr(zfactor, "next_prime", lambda p: tried.append(p) or real(p))
+    with pytest.raises(AssertionError, match="not squarefree"):
+        _factor_squarefree_z(f)
+    assert 0 < len(tried) <= 24

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normforge.errors import NonMonogenicAtP, NormforgeError, NotAUnit
-from normforge.intfunc import valuation_int
+from normforge.intfunc import is_prime, valuation_int
 from normforge.modp import pdivmod
 from normforge.numberfield import (
     NumberField,
@@ -20,6 +20,7 @@ from normforge.numberfield import (
     element_support,
     local_blocks,
     omega_membership,
+    padic_unit,
     residue_map,
     residue_nonqth_power,
     splitting_type,
@@ -327,6 +328,34 @@ def test_a_valuation_certified_at_its_first_precision_takes_one_resultant(monkey
                     assert calls == [2 * s + 8]
                     checked += 1
     assert checked > 250
+
+
+def test_padic_unit_matches_valuation_and_the_uniformizer_shift():
+    # at e = f = 1 one image A(r) mod p^m gives v_P(alpha) and the residue
+    # of alpha / pi^v; elements carry 0, 1 and 2 factors of p in the
+    # denominator and 0, 1 or 2 factors of theta - r in the numerator
+    rng = random.Random(2311)
+    seen_v, seen_s, checked, wider = set(), set(), 0, 0
+    for field in (Q, GAUSS, GOLDEN, K3, CUBE2):
+        theta = field.gen()
+        for p in range(2, 60):
+            if not is_prime(p):
+                continue
+            for P in splitting_type(field, p):
+                if (P.e, P.f_deg) != (1, 1):
+                    continue
+                near = theta + field.element(P.g[0] + p)  # theta - r mod p: v_P >= 1
+                for alpha in _local_elements(rng, field, p, 9):
+                    alpha = alpha * near ** rng.randint(0, 2)
+                    v = valuation(field, P, alpha)
+                    shifted = alpha * uniformizer(field, P) ** (-v)
+                    assert padic_unit(field, P, alpha) == (v, residue_map(field, P, shifted))
+                    seen_v.add(v)
+                    seen_s.add(valuation_int(alpha.den, p))
+                    checked += 1
+                    wider += field.degree > 1
+    assert seen_v >= {-2, -1, 0, 1, 2} and seen_s == {0, 1, 2}
+    assert checked > 600 and wider > 450
 
 
 def test_valuation_and_residue_map_share_one_lift():

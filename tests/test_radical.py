@@ -313,3 +313,41 @@ def test_local_chain_matches_global_quadratic_layers():
             node.track("u", vv, res)
             predicted = [(c.e, c.f) for c in radical_children(node, "u", 2, xi_q=True)]
             assert sorted(predicted) == sorted((G.e, G.f_deg) for G in global_primes), (u, p)
+
+
+def test_tracked_node_at_a_split_prime_needs_no_powers_or_inverses(monkeypatch):
+    # once w mod p (pi(r) = p w) is cached on P, every (v, residue) at an
+    # e = f = 1 prime comes from one p-adic image: no uniformizer, no
+    # FieldElement power or inverse, and no valuation or residue_map call
+    import normforge.numberfield as nf
+    import normforge.radical as rad
+
+    i = KI.gen()
+    P = next(P for P in splitting_type(KI, 5) if valuation(KI, P, i + 2) == 1)
+    elements = {"unit": i + 3, "zero": KI.zero(), "v1": (i + 2) ** 2 / 5,
+                "v2": (i + 2) ** 2 * 3, "vm1": (i - 2) / ((i + 2) * 7),
+                "vm2": Fraction(2, 25) * (i + 1)}
+    pi = nf.uniformizer(KI, P)
+    want = {}
+    for key, val in elements.items():
+        if not val.is_zero():
+            v = valuation(KI, P, val)
+            want[key] = (v, nf.residue_map(KI, P, val * pi ** (-v)))
+    assert sorted(v for v, _ in want.values()) == [-2, -1, 0, 1, 2]
+    rad.tracked_node(KI, P, 3, elements)
+    assert P._w is not None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the degree-one path took a slow step")
+
+    monkeypatch.setattr(nf.FieldElement, "__pow__", refuse)
+    monkeypatch.setattr(nf.FieldElement, "inverse", refuse)
+    for module, name in ((nf, "uniformizer"), (rad, "uniformizer"),
+                         (rad, "valuation"), (rad, "residue_map")):
+        monkeypatch.setattr(module, name, refuse)
+    node = rad.tracked_node(KI, P, 3, elements)
+    at_q = rad.tracked_node(KI, P, 5, elements)  # at a factor of q only units get one
+    assert node.get("zero").v == at_q.get("zero").v == 10 ** 9
+    for key, (v, res) in want.items():
+        assert (node.get(key).v, node.get(key).residue) == (v, res)
+        assert (at_q.get(key).v, at_q.get(key).residue) == (v, res if v == 0 else None)
