@@ -38,6 +38,9 @@ class FiniteField:
     def element(self, coeffs):
         if isinstance(coeffs, int):
             coeffs = (coeffs,)
+        if self.f == 1:  # the constant term mod p, as pmod by the marker x gives
+            c = coeffs[0] % self.p if coeffs else 0
+            return FFElem(self, (c,) if c else ())
         return FFElem(self, pmod(coeffs, self.modulus, self.p))
 
     def zero(self):

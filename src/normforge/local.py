@@ -83,7 +83,11 @@ class Tracked:
 
 
 class LocalPrime:
-    """One prime of the current layer, with its tracked element data."""
+    """One prime of the current layer, with its tracked element data.
+
+    Once a node has children it is never mutated: identical split siblings
+    are one shared object, so a leaf list may hold the same node q^k times.
+    """
 
     def __init__(self, p, e=1, f=1, tracked=None, trace=(), indeterminate=False, rational=None):
         self.p = p
@@ -197,24 +201,28 @@ def radical_children(lp, u_key, q, u_minus_one_key=None, xi_q=True):
         if u_minus_one_key is not None and u_minus_one_key in lp.tracked:
             vm1 = lp.get(u_minus_one_key).v
             if vm1 >= guard:
-                return [lp.child(note=f"guard-split({u_key}): v(u-1)={vm1}>=3v(q)={guard}") for _ in range(q)]
+                return [lp.child(note=f"guard-split({u_key}): v(u-1)={vm1}>=3v(q)={guard}")] * q
         return [lp.child(note=f"wild({u_key}): no Hensel guard", indeterminate=True)]
     is_power = lp.residue_is_qth_power(u_key, q)
     if q_divides_group(p, lp.f, q):
         if is_power is None:
             return [lp.child(note=f"unramified({u_key}): residue unknown", indeterminate=True)]
         if is_power:
-            return [lp.child(note=f"split({u_key}): residue is a q-th power") for _ in range(q)]
+            return [lp.child(note=f"split({u_key}): residue is a q-th power")] * q
         return [lp.child(f_mult=q, note=f"inert({u_key}): residue not a q-th power")]
     # q does not divide p^f - 1: the q-power map is onto, one root always
     if xi_q:
         # xi_q in the field forces q | p^f - 1 at unramified tame primes
         raise NormforgeError("xi_q claimed but q does not divide the residue group order")
     d = multiplicative_order(pow(p, lp.f, q), q)
-    kids = [lp.child(note=f"tame-root({u_key}): unique root, local degree 1")]
-    for _ in range((q - 1) // d):
-        kids.append(lp.child(f_mult=d, note=f"tame-orbit({u_key}): zeta_q orbit of size {d}"))
-    return kids
+    return ([lp.child(note=f"tame-root({u_key}): unique root, local degree 1")]
+            + [lp.child(f_mult=d, note=f"tame-orbit({u_key}): zeta_q orbit of size {d}")] * ((q - 1) // d))
+
+
+def leaves_to_json(leaves):
+    """to_json of each leaf, computed once per distinct (shared) node."""
+    seen = {leaf: leaf.to_json() for leaf in set(leaves)}
+    return [seen[leaf] for leaf in leaves]
 
 
 def q_divides_group(p, f, q):

@@ -29,6 +29,7 @@ from .intfunc import is_prime
 from .local import (
     LocalVerdict,
     hilbert_symbol,
+    leaves_to_json,
     local_norm_solvable,
     q_divides_group,
 )
@@ -100,7 +101,7 @@ class LocalLedger:
                 "conditions": conditions,
                 "note": note,
                 "level": "base tower truncation (three layers)",
-                "local_trace": [leaf.to_json() for leaf in leaves] if leaves else [],
+                "local_trace": leaves_to_json(leaves) if leaves else [],
             }
         )
 
@@ -159,7 +160,7 @@ def _prime_verdict(instance, P):
         return LocalVerdict.indeterminate("unguarded factor of q (wild)"), "wild", None
     leaves = chain_layers(spec, P)
     worst = LocalVerdict.solvable("all leaves solvable")
-    for leaf in leaves:
+    for leaf in dict.fromkeys(leaves):  # each shared split sibling once, in order
         v = local_norm_solvable(leaf, "rhs", norm_key, q, c_minus_one_key=norm_key + "m1")
         if v.kind == LocalVerdict.UNSOLVABLE:
             return v, "chained", leaves

@@ -511,18 +511,22 @@ def _resultant_valuation(F, A, p, m):
 
 
 def padic_unit(field, P, alpha):
-    """(v_P(alpha), residue of alpha / pi^v) at P with e = f = 1, alpha != 0.
+    """(v_P(alpha), residue of alpha / pi^v) at P with e = f = 1.
 
     theta -> r, the root of P's block x - r, embeds K in Q_p.  It maps
     alpha = A(theta) / (p^s d0) to R / (p^s d0), R = A(r), and
     pi = uniformizer(field, P) to p w, w a unit whose residue is cached on
     P.  So v = v_p(R) - s and the residue is R / (p^(v+s) d0 w^v) mod p.
+    Zero has no unit part and raises NotAUnit before any lift.
     """
+    alpha = field.element(alpha)
+    if alpha.is_zero():
+        raise NotAUnit("zero has no unit part")
     p = P.p
     if P._w is None:
         _, R, t, d0 = _certified_image(field, P, uniformizer(field, P))
         P._w = R // p ** t * pow(d0, -1, p)
-    v, R, t, d0 = _certified_image(field, P, field.element(alpha))
+    v, R, t, d0 = _certified_image(field, P, alpha)
     return v, P.residue_field().element(R // p ** t * pow(d0, -1, p) * pow(P._w, -v, p))
 
 

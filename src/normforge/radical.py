@@ -34,7 +34,7 @@ from .errors import (
 from .finitefield import power_residue_test
 from .intfunc import is_prime
 from .kpoly import has_primitive_root_of_unity
-from .local import LocalPrime, radical_children
+from .local import LocalPrime, leaves_to_json, radical_children
 from .modp import _frac_mod
 from .numberfield import (
     element_support,
@@ -169,11 +169,14 @@ def chain_layers(spec, P):
     """Leaves at P of the three layers, applied in the fixed order r1, r2, r3.
 
     No mu_q check: norm-equation analysis also chains over fields without
-    the q-th roots of unity.
+    the q-th roots of unity.  Identical split siblings are one shared node,
+    so each distinct node is expanded once.
     """
     nodes = [start_node(spec, P)]
     for key in _LAYER_KEYS:
-        nodes = [child for node in nodes for child in radical_children(node, key, spec.q, u_minus_one_key=key + "m1")]
+        kids = {node: radical_children(node, key, spec.q, u_minus_one_key=key + "m1")
+                for node in dict.fromkeys(nodes)}
+        nodes = [child for node in nodes for child in kids[node]]
     return nodes
 
 
@@ -226,7 +229,7 @@ class PropositionReport:
             "hypotheses_pass": self.hypotheses_pass,
             "conclusions": self.conclusions,
             "local_trace": {
-                f"({p}, #{idx})": [n.to_json() for n in nodes]
+                f"({p}, #{idx})": leaves_to_json(nodes)
                 for (p, idx), nodes in sorted(
                     ((P.p, P.index), nodes) for P, nodes in self.local_trace.items()
                 )

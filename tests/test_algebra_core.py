@@ -422,6 +422,22 @@ def test_rational_residue_mod_a_prime_power():
             _frac_mod(c, m)
 
 
+def test_prime_field_element_is_the_constant_term_mod_p():
+    # f = 1 reads the constant term mod p directly; pmod by the marker
+    # modulus x, which gives that term, is the reference
+    rng = random.Random(2025)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 11, 13, 10007])
+        field = FiniteField(p)
+        ints = [rng.randint(-10 ** 6, 10 ** 6), rng.choice([0, p, -p, p * p])]
+        seqs = [(), [], (rng.randint(-99, 99),), [rng.choice([0, p, -p, p - 1])],
+                [rng.randint(-99, 99) for _ in range(rng.randint(2, 4))]]
+        for coeffs in ints + seqs:
+            want = pmod((coeffs,) if isinstance(coeffs, int) else coeffs, (0, 1), p)
+            got = field.element(coeffs)
+            assert got.field is field and got.coeffs == tuple(want), (p, coeffs)
+
+
 def test_power_residue_worked_examples():
     F7 = FiniteField(7)
     cubes = sorted({pow(a, 3, 7) for a in range(1, 7)})

@@ -119,6 +119,102 @@ def test_analyze_ledger_byte_pinned_in_degree_two_residue_fields(seed, digest, m
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
+def _chain_copy_per_sibling(spec, P):
+    """Reference layer chain: every sibling is its own node, expanded on its own."""
+    from normforge.local import radical_children
+    from normforge.radical import start_node
+
+    nodes = [start_node(spec, P)]
+    for key in ("r1", "r2", "r3"):
+        nodes = [kid.child() for node in nodes
+                 for kid in radical_children(node, key, spec.q, u_minus_one_key=key + "m1")]
+    return nodes
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except (NormforgeError, ConclusionViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _leaf_data(leaves):
+    if isinstance(leaves, tuple):  # the outcome of a raised error
+        return leaves
+    return [(n.p, n.e, n.f, n.trace, n.indeterminate,
+             sorted((key, t.v, t.fresh) for key, t in n.tracked.items())) for n in leaves]
+
+
+def _analysis(instance):
+    out = _outcome(analyze, instance)
+    if isinstance(out[0], LocalVerdict):
+        verdict, ledger = out
+        return verdict.to_json(), json.dumps(ledger.to_json(), sort_keys=True)
+    return out
+
+
+def test_shared_split_siblings_match_a_copy_per_sibling_expansion(monkeypatch):
+    # chain_layers expands each distinct node once, and a leaf list repeats
+    # a shared split sibling; its leaves, verdicts and ledgers must be those
+    # of expanding every sibling as its own copy
+    from normforge import normeq
+    from normforge.radical import chain_layers, primes_of_interest
+
+    QI = NumberField(UniPoly([1, 0, 1]), name="Q(i)")
+    GOLDEN = NumberField(UniPoly([-1, -1, 1]), name="Q(sqrt5)")
+    rng = random.Random(2510)
+    instances, leaf_lists, shared = [], 0, 0
+    for field, q in [(K, q) for K in (Q, QI, GOLDEN, K3) for q in (2, 3)] * 4:
+        x, b, c = (field.element([Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 3, 7]))
+                                  for _ in range(field.degree)]) for _ in range(3))
+        try:
+            instance = NormEquationInstance(field, q, x, b, c)
+        except NormforgeError:  # a degenerate radicand
+            continue
+        instances.append(instance)
+        for P in primes_of_interest(instance.spec):
+            got = _outcome(chain_layers, instance.spec, P)
+            want = _outcome(_chain_copy_per_sibling, instance.spec, P)
+            if isinstance(got, list):
+                leaf_lists += 1
+                shared += len(set(got)) < len(got)
+            assert _leaf_data(got) == _leaf_data(want), (instance.to_json(), P)
+    assert len(instances) >= 30 and leaf_lists >= 120 and shared >= 80
+    new = [_analysis(instance) for instance in instances]
+    monkeypatch.setattr(normeq, "chain_layers", _chain_copy_per_sibling)
+    assert new == [_analysis(instance) for instance in instances]
+    assert {v[0]["verdict"] for v in new if isinstance(v[0], dict)} == {
+        "solvable", "unsolvable", "indeterminate"}
+
+
+def test_a_fully_split_prime_expands_and_judges_one_node_per_layer(monkeypatch):
+    # at a prime of Q(zeta3) over 7 all three q = 3 layers split completely
+    # and so does the norm layer: 27 leaves are one shared node, expanded
+    # once per layer, judged once and serialized once
+    from normforge import local, normeq, radical
+
+    calls = {"expand": 0, "judge": 0, "json": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(radical, "radical_children", counted("expand", radical.radical_children))
+    monkeypatch.setattr(normeq, "local_norm_solvable", counted("judge", normeq.local_norm_solvable))
+    monkeypatch.setattr(local.LocalPrime, "to_json", counted("json", local.LocalPrime.to_json))
+    instance = NormEquationInstance(K3, 3, Fraction(1, 7), Fraction(1, 7), 8)
+    P = splitting_type(K3, 7)[0]
+    verdict, note, leaves = normeq._prime_verdict(instance, P)
+    assert (verdict.kind, note, len(leaves), len(set(leaves))) == ("solvable", "chained", 27, 1)
+    assert all(trace.startswith("split(") for trace in leaves[0].trace)
+    assert (calls["expand"], calls["judge"]) == (3, 1)
+    ledger = normeq.LocalLedger()
+    ledger.add(P, verdict, [], note, leaves=leaves)
+    assert calls["json"] == 1 and len(ledger.entries[0]["local_trace"]) == 27
+
+
 def test_analyze_direct_agrees_with_hilbert_symbols_on_grid():
     """Over Q with q = 2 the verdict is classical: N from Q(sqrt(c)) represents
     rhs iff (c, rhs)_v = +1 at every place.  Exhaustive grid agreement."""

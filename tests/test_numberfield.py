@@ -390,6 +390,24 @@ def _residue_by_lift(field, P, alpha):
     return k.element(red) * k.element(pow(alpha.den // p ** s, -1, p))
 
 
+def test_padic_unit_on_zero_is_not_a_unit_before_any_lift(monkeypatch):
+    # zero has no unit part: padic_unit says so at once, as residue_map
+    # does, instead of lifting the block to the precision cap
+    import normforge.numberfield as nf
+
+    P = splitting_type(GAUSS, 5)[0]
+    assert (P.e, P.f_deg) == (1, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("padic_unit lifted a block for zero")
+
+    monkeypatch.setattr(nf, "local_blocks", refuse)
+    with pytest.raises(NotAUnit):
+        padic_unit(GAUSS, P, GAUSS.zero())
+    with pytest.raises(NotAUnit):
+        residue_map(GAUSS, P, GAUSS.zero())
+
+
 def test_residue_map_matches_lift_and_reduce():
     rng = random.Random(1607)
     by_s = {0: 0, 1: 0, 2: 0}

@@ -191,9 +191,9 @@ def test_every_option_is_set():
     assert unset == []
 
 
-def _enclosing_functions(tree, name):
-    """Qualified names of the functions that read `name` as a name or an
-    attribute ("" at module level)."""
+def _enclosing(tree, match):
+    """Qualified names of the functions holding a node that `match` accepts
+    ("" at module level)."""
     def walk(node, qualname, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -201,12 +201,18 @@ def _enclosing_functions(tree, name):
                 yield from walk(child, inner if not isinstance(child, ast.ClassDef) else qualname,
                                 inner + ".")
             else:
-                if ((isinstance(child, ast.Name) and child.id == name)
-                        or (isinstance(child, ast.Attribute) and child.attr == name)):
+                if match(child):
                     yield qualname
                 yield from walk(child, qualname, prefix)
 
     return set(walk(tree, "", ""))
+
+
+def _enclosing_functions(tree, name):
+    """Qualified names of the functions that read `name` as a name or an
+    attribute ("" at module level)."""
+    return _enclosing(tree, lambda node: (isinstance(node, ast.Name) and node.id == name)
+                      or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_field_elements_have_one_stored_form():
@@ -247,6 +253,32 @@ def test_only_valuation_reads_the_infinite_valuation():
         readers |= {f"{path.name}:{qualname}" for qualname in _enclosing_functions(tree, "INF")}
     assert readers == {"numberfield.py:", "numberfield.py:valuation"}
 
+
+
+DICT_WRITES = {"update", "pop", "popitem", "setdefault", "clear"}
+
+
+def _writes_tracked(node):
+    """A call of LocalPrime.track, or a write to a `.tracked` dict."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        return func.attr == "track" or (func.attr in DICT_WRITES
+                                        and isinstance(func.value, ast.Attribute)
+                                        and func.value.attr == "tracked")
+    return (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "tracked")
+
+
+def test_only_tracked_node_fills_a_local_prime():
+    # split siblings are one shared LocalPrime, so a node is never changed
+    # once it has children: only LocalPrime itself and the start node of a
+    # chain write tracked data
+    writers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writers |= {f"{path.name}:{qualname}" for qualname in _enclosing(tree, _writes_tracked)}
+    outside = {w for w in writers if not w.startswith("local.py:LocalPrime.")}
+    assert outside == {"radical.py:tracked_node"}
 
 
 def test_one_sieve_loop_factors_by_degree():
