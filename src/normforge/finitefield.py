@@ -13,7 +13,7 @@ order of the smaller group.
 """
 
 from .errors import NormforgeError, ZeroResidue
-from .modp import _convolve, is_irreducible_mod_p, padd, pgcd_ext, pmod, pnormalize, ppow_mod, psub
+from .modp import _convolve, is_irreducible_mod_p, pgcd_ext, pmod, pnormalize, ppow_mod, psub
 
 
 class FiniteField:
@@ -90,9 +90,6 @@ class FFElem:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
-    def __add__(self, other):
-        return FFElem(self.field, padd(self.coeffs, other.coeffs, self.field.p))
-
     def __sub__(self, other):
         return FFElem(self.field, psub(self.coeffs, other.coeffs, self.field.p))
 
@@ -111,9 +108,6 @@ class FFElem:
         g, s, _ = pgcd_ext(self.coeffs, f.modulus, f.p)
         assert g == [1]
         return FFElem(f, pmod(s, f.modulus, f.p))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def __pow__(self, e):
         f = self.field

@@ -3,14 +3,12 @@
 Lifting is quadratic: each step doubles the precision and lifts the Bezout
 cofactors along with the factors (von zur Gathen & Gerhard, Modern Computer
 Algebra, Alg. 15.10).  A monic lift mod p^m is unique, so the result does not
-depend on the order of the steps.  Two entry points:
-
-* hensel_lift_factorization: the public operation.  Requires f squarefree
-  mod p, lifts its irreducible mod-p factors.
-* lift_blocks: internal workhorse used for local prime data.  Lifts any
-  pairwise-coprime monic block factorization (blocks may be powers g^e, as
-  produced by Kummer-Dedekind at ramified primes), which is exactly what the
-  local factors of a defining polynomial look like p-adically.
+depend on the order of the steps.  The entry point is lift_blocks, used for
+local prime data: it lifts any pairwise-coprime monic block factorization
+(blocks may be powers g^e, as produced by Kummer-Dedekind at ramified
+primes), which is exactly what the local factors of a defining polynomial
+look like p-adically.  crt_idempotents builds the CRT data over the lifted
+blocks.
 
 All polynomials here are int lists ascending by degree, coefficients reduced
 into [0, p^m).
@@ -18,7 +16,6 @@ into [0, p^m).
 
 from .errors import NormforgeError, NotSquarefreeAtP
 from .modp import (
-    factor_poly_mod_p,
     padd,
     pdivmod,
     pgcd_ext,
@@ -73,29 +70,6 @@ def lift_blocks(f, blocks, p, m):
         rest = pmul(rest, b, p)
     g, h = lift_pair_to(f, first, rest, p, m)
     return [g] + lift_blocks(h, blocks[1:], p, m)
-
-
-def hensel_lift_factorization(f, p, m):
-    """Lift the mod-p factorization of f to coprime monic factors mod p^m.
-
-    Requires f squarefree mod p.  Each returned factor reduces mod p to the
-    corresponding irreducible factor of f mod p, and their product is f mod
-    p^m (f is assumed monic; a unit leading coefficient is divided out).
-    """
-    if not any(f):
-        raise NormforgeError("zero polynomial")
-    factors = factor_poly_mod_p(f, p)
-    if any(mult > 1 for _, mult in factors):
-        raise NotSquarefreeAtP(f"not squarefree mod {p}")
-    if f[-1] % p == 0:
-        raise NormforgeError("leading coefficient vanishes mod p")
-    if f[-1] != 1:
-        inv = pow(f[-1], -1, p ** m)
-        f = [c * inv % p ** m for c in f]
-    blocks = [g for g, _ in factors]
-    if len(blocks) == 1:
-        return [pnormalize(f, p ** m)]
-    return lift_blocks(f, blocks, p, m)
 
 
 def crt_idempotents(blocks, p, m):

@@ -155,12 +155,6 @@ class MultiPoly:
         out.terms = {k: c for k, c in out.terms.items() if c}
         return out
 
-    def map_coeffs(self, fn):
-        out = MultiPoly(self.n)
-        out.terms = {k: fn(c) for k, c in self.terms.items()}
-        out.terms = {k: c for k, c in out.terms.items() if c}
-        return out
-
     def integerized(self):
         """Clear rational denominators by the lcm; returns (poly, multiplier).
 
@@ -172,9 +166,9 @@ class MultiPoly:
         for c in self.terms.values():
             c = Fraction(c)
             den = den * c.denominator // gcd(den, c.denominator)
-        if den == 1:
-            return self.map_coeffs(lambda c: int(c) if Fraction(c).denominator == 1 else c), 1
-        return self.map_coeffs(lambda c: int(Fraction(c) * den)), den
+        out = MultiPoly(self.n)
+        out.terms = {k: int(Fraction(c) * den) for k, c in self.terms.items()}
+        return out, den
 
     def dense_exponents(self, key):
         vec = [0] * self.n

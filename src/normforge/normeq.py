@@ -50,6 +50,7 @@ from .radical import (
     check_nonsplit_certificate,
     primes_of_interest,
     protective_conditions,
+    start_node,
     tracked_node,
     two_adic_inert,
 )
@@ -70,14 +71,6 @@ class NormEquationInstance:
             in_theta, in_phi = theta_phi_membership(field, c, self.S, q)
             if not (in_theta and in_phi and omega_membership(field, c, q)):
                 raise NormforgeError("instance claims a compliant c but it is not")
-
-    @property
-    def x(self):
-        return self.spec.x
-
-    @property
-    def rhs(self):
-        return self.spec.rhs
 
     def to_json(self):
         out = self.spec.to_json()
@@ -124,21 +117,19 @@ class LocalLedger:
         }
 
 
-def _prime_verdict(instance, P):
+def _prime_verdict(instance, P, start):
     field, q = instance.field, instance.q
     spec = instance.spec
     norm_key = spec.third_name
     if P.p == q:
-        cm1 = spec.third - field.one()
-        guard = 3 * P.e
-        if valuation(field, P, cm1) >= guard:
+        if start.get(norm_key + "m1").v >= 3 * P.e:
             return LocalVerdict.solvable(
                 "phi guard: v(c-1) >= 3 v(q) transports through every layer"
             ), "guard-transport", None
         if spec.variant == XDA:
             cert = check_nonsplit_certificate(spec, P)
             if cert is True:
-                leaves = chain_layers(spec, P)
+                leaves = chain_layers(spec, start)
                 if all(not l.indeterminate and l.e == P.e and l.f == P.f_deg for l in leaves):
                     v_rhs = leaves[0].get("rhs").v
                     if v_rhs % q == 0:
@@ -158,7 +149,7 @@ def _prime_verdict(instance, P):
                 return LocalVerdict.solvable("2-adic Hilbert symbol = +1"), "hilbert", None
             return LocalVerdict.unsolvable("2-adic Hilbert symbol = -1"), "hilbert", None
         return LocalVerdict.indeterminate("unguarded factor of q (wild)"), "wild", None
-    leaves = chain_layers(spec, P)
+    leaves = chain_layers(spec, start)
     worst = LocalVerdict.solvable("all leaves solvable")
     for leaf in dict.fromkeys(leaves):  # each shared split sibling once, in order
         v = local_norm_solvable(leaf, "rhs", norm_key, q, c_minus_one_key=norm_key + "m1")
@@ -180,8 +171,9 @@ def analyze(instance):
     poles_outside_w = []
     none_hold = []
     for P in interest:
-        conds, (vx, _, vc), _ = protective_conditions(spec, P)
-        verdict, note, leaves = _prime_verdict(instance, P)
+        start = start_node(spec, P)
+        conds, (vx, _, vc), _ = protective_conditions(spec, start)
+        verdict, note, leaves = _prime_verdict(instance, P, start)
         ledger.add(P, verdict, conds, note, leaves=leaves)
         in_w = P.p == q or any(P == s for s in instance.S)
         if not in_w:

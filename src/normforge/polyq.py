@@ -285,9 +285,6 @@ class RationalInterval:
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 
-    def to_json(self):
-        return {"lo": str(self.lo), "hi": str(self.hi)}
-
 
 def sturm_sequence(f):
     seq = [f, f.derivative()]

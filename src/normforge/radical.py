@@ -31,7 +31,6 @@ from .errors import (
     MissingRootOfUnity,
     NormforgeError,
 )
-from .finitefield import power_residue_test
 from .intfunc import is_prime
 from .kpoly import has_primitive_root_of_unity
 from .local import LocalPrime, leaves_to_json, radical_children
@@ -165,14 +164,17 @@ def start_node(spec, P):
     return tracked_node(spec.field, P, spec.q, elems)
 
 
-def chain_layers(spec, P):
-    """Leaves at P of the three layers, applied in the fixed order r1, r2, r3.
+def chain_layers(spec, start):
+    """Leaves of the three layers below `start`, in the fixed order r1, r2, r3.
 
-    No mu_q check: norm-equation analysis also chains over fields without
-    the q-th roots of unity.  Identical split siblings are one shared node,
-    so each distinct node is expanded once.
+    `start` is the start node of a prime (`start_node`).  The layers claim
+    the q-th roots of unity (radical_children's xi_q) and nothing checks the
+    claim: over a field without them, a layer whose radicand has v == 0 mod
+    q at a tame node with q not| p^f - 1 raises NormforgeError.  Identical
+    split siblings are one shared node, so each distinct node is expanded
+    once.
     """
-    nodes = [start_node(spec, P)]
+    nodes = [start]
     for key in _LAYER_KEYS:
         kids = {node: radical_children(node, key, spec.q, u_minus_one_key=key + "m1")
                 for node in dict.fromkeys(nodes)}
@@ -193,7 +195,7 @@ def build_tower(spec, primes=None):
     _require_mu_q(spec)
     if primes is None:
         primes = primes_of_interest(spec)
-    return {P: chain_layers(spec, P) for P in primes}
+    return {P: chain_layers(spec, start_node(spec, P)) for P in primes}
 
 
 # ---------------------------------------------------------------------------
@@ -237,30 +239,28 @@ class PropositionReport:
         }
 
 
-def protective_conditions(spec, P):
-    """The four protective conditions of the norm statement at P.
+def protective_conditions(spec, start):
+    """The four protective conditions of the norm statement at a prime.
 
-    Returns (conditions, (v(x), v(b), v(c)), residue of c).  The conditions
-    are: c is a q-th power mod P (False unless v(c) = 0), v(x) >= 0,
-    q v(x) >= (q-1) v(b), and v(b) == 0 mod q.  The residue is None unless
-    v(c) = 0.  The bad-prime hypotheses are p not| q and their negations.
+    Read off the prime's start node.  Returns (conditions, (v(x), v(b),
+    v(c)), residue of c).  The conditions are: c is a q-th power mod P
+    (False unless v(c) = 0), v(x) >= 0, q v(x) >= (q-1) v(b), and
+    v(b) == 0 mod q.  The residue is None unless v(c) = 0.  The bad-prime
+    hypotheses are p not| q and their negations.
     """
-    field, q = spec.field, spec.q
-    vx = valuation(field, P, spec.x)
-    vb = valuation(field, P, spec.second)
-    vc = valuation(field, P, spec.third)
-    res = None
-    c_power = False
-    if vc == 0:
-        res = residue_map(field, P, spec.third)
-        c_power = power_residue_test(res, P.residue_field(), q)
-    conditions = [c_power, vx >= 0, q * vx >= (q - 1) * vb, vb % q == 0]
-    return conditions, (vx, vb, vc), res
-
-
-def _badprime_hypotheses(report, spec, P):
     q = spec.q
-    (c_power, no_pole, slope_ok, b_order_ok), (vx, vb, vc), res = protective_conditions(spec, P)
+    vx = start.get("x").v
+    vb = start.get(spec.second_name).v
+    c = start.get(spec.third_name)
+    res = c.residue if c.v == 0 else None
+    c_power = c.v == 0 and start.residue_is_qth_power(spec.third_name, q)
+    conditions = [c_power, vx >= 0, q * vx >= (q - 1) * vb, vb % q == 0]
+    return conditions, (vx, vb, c.v), res
+
+
+def _badprime_hypotheses(report, spec, P, start):
+    q = spec.q
+    (c_power, no_pole, slope_ok, b_order_ok), (vx, vb, vc), res = protective_conditions(spec, start)
     name2 = spec.third_name
     report.add_hypothesis("p_K is not a factor of q", P.p != q, f"p = {P.p}")
     if vc == 0:
@@ -278,11 +278,9 @@ def _badprime_hypotheses(report, spec, P):
     )
 
 
-def _badprimeq_hypotheses(report, spec, Q):
-    field, q = spec.field, spec.q
-    vx = valuation(field, Q, spec.x)
-    vd = valuation(field, Q, spec.second)
-    va = valuation(field, Q, spec.third)
+def _badprimeq_hypotheses(report, spec, Q, start):
+    q = spec.q
+    vx, vd, va = (start.get(key).v for key in ("x", "d", "a"))
     report.add_hypothesis("q_K is a factor of q", Q.p == q, f"p = {Q.p}")
     cert = check_nonsplit_certificate(spec, Q)
     report.add_hypothesis(
@@ -365,7 +363,8 @@ def verify_proposition(kind, spec, target_prime=None):
         raise NormforgeError(f"{kind} needs a target prime")
     report = PropositionReport(kind, spec)
     if target_prime is not None:
-        (_badprimeq_hypotheses if at_q else _badprime_hypotheses)(report, spec, target_prime)
+        start = start_node(spec, target_prime)
+        (_badprimeq_hypotheses if at_q else _badprime_hypotheses)(report, spec, target_prime, start)
         if not report.hypotheses_pass:
             err = HypothesisFail(report.failed_indices())
             err.report = report
@@ -373,7 +372,8 @@ def verify_proposition(kind, spec, target_prime=None):
     if kind.startswith("fixorder"):
         _check_fixorder_conclusions(report, spec, kind)
     else:
-        leaves = build_tower(spec, primes=[target_prime])[target_prime]
+        _require_mu_q(spec)
+        leaves = chain_layers(spec, start)
         report.local_trace[target_prime] = leaves
         if at_q:
             _check_badprimeq_conclusions(report, spec, target_prime, leaves)
@@ -420,48 +420,31 @@ def _check_badprimeq_conclusions(report, spec, Q, leaves):
 
 def _check_fixorder_conclusions(report, spec, kind):
     q = spec.q
-    field = spec.field
     checked_keys = ("c", "rhs", "x") if kind == "fixorder" else ("d", "a", "rhs")
+    poles = ("x",) if kind == "fixorder" else ("d", "x")
     # every conclusion is about the tower, which needs mu_q, even when all
     # primes of interest turn out to be excluded
     _require_mu_q(spec)
     for P in primes_of_interest(spec):
-        vx = valuation(field, P, spec.x)
-        if kind == "fixorder":
-            if P.p == q:
-                report.add_conclusion(
-                    f"orders at ({P.p}, #{P.index})", "excluded", "factor of q, outside the statement"
-                )
-                continue
-            if vx < 0:
-                report.add_conclusion(
-                    f"orders at ({P.p}, #{P.index})", "excluded", "pole of x, outside the statement"
-                )
-                continue
-        else:
-            vd = valuation(field, P, spec.second)
-            if vd < 0 or vx < 0:
-                report.add_conclusion(
-                    f"orders at ({P.p}, #{P.index})", "excluded", "pole of d or x, outside the statement"
-                )
-                continue
-        leaves = chain_layers(spec, P)
-        report.local_trace[P] = leaves
-        if any(leaf.indeterminate for leaf in leaves):
+        where = f"({P.p}, #{P.index})"
+        if kind == "fixorder" and P.p == q:
+            report.add_conclusion(f"orders at {where}", "excluded", "factor of q, outside the statement")
+            continue
+        start = start_node(spec, P)
+        if any(start.get(key).v < 0 for key in poles):
             report.add_conclusion(
-                f"orders at ({P.p}, #{P.index})", "indeterminate", "wild layer in the chain"
+                f"orders at {where}", "excluded", f"pole of {' or '.join(poles)}, outside the statement"
             )
             continue
-        keymap = {"c": spec.third_name, "a": spec.third_name, "d": spec.second_name,
-                  "rhs": "rhs", "x": "x"}
-        oks = []
-        for want in checked_keys:
-            key = keymap[want]
-            oks.append(all(leaf.get(key).v % q == 0 for leaf in leaves))
+        leaves = chain_layers(spec, start)
+        report.local_trace[P] = leaves
+        if any(leaf.indeterminate for leaf in leaves):
+            report.add_conclusion(f"orders at {where}", "indeterminate", "wild layer in the chain")
+            continue
         _conclude(
             report,
-            f"v({', '.join(checked_keys)}) all == 0 mod q at ({P.p}, #{P.index})",
-            all(oks),
+            f"v({', '.join(checked_keys)}) all == 0 mod q at {where}",
+            all(leaf.get(key).v % q == 0 for key in checked_keys for leaf in leaves),
         )
 
 

@@ -154,9 +154,6 @@ class FactorTree:
         self.levels.append(new_ids)
         self.level_degrees.append(level_degree)
 
-    def children(self, node_id):
-        return [n for n in self.nodes if n.parent == node_id]
-
     def leaves(self):
         last = set(self.levels[-1])
         return [self.nodes[i] for i in sorted(last)]

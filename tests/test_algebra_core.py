@@ -13,7 +13,7 @@ import pytest
 
 from normforge.errors import NormforgeError, NotSquarefreeAtP, ZeroResidue
 from normforge.finitefield import FiniteField, power_residue_test, power_test_in_extension
-from normforge.hensel import hensel_lift_factorization, lift_blocks
+from normforge.hensel import lift_blocks
 from normforge.intfunc import factorint, next_prime
 from normforge.modp import (
     _frac_mod,
@@ -135,22 +135,28 @@ def test_factorint_splits_squares_beyond_float_range():
     assert factorint(3 * p * p) == {3: 1, p: 2}
 
 
+def _lift_mod_p_factors(f, p, m):
+    """lift_blocks on the mod-p factorization of monic f, one block per factor."""
+    blocks = [g for g, mult in factor_poly_mod_p(f, p) for _ in range(mult)]
+    return lift_blocks(f, blocks, p, m)
+
+
 def test_hensel_worked_examples():
     # (x - 18)(x - 30) mod 49: 18 = -31, 30 = -19; 18^2+18+1 = 343 = 7^3
     assert (18 * 18 + 18 + 1) % 49 == 0
-    lifted = hensel_lift_factorization([1, 1, 1], 7, 2)
+    lifted = _lift_mod_p_factors([1, 1, 1], 7, 2)
     assert sorted(lifted) == [[19, 1], [31, 1]]
     # x^2 - 2 mod 49: 10^2 = 100 = 2 + 2*49
     assert (10 * 10 - 2) % 49 == 0
-    lifted = hensel_lift_factorization([-2, 0, 1], 7, 2)
+    lifted = _lift_mod_p_factors([-2, 0, 1], 7, 2)
     assert sorted(lifted) == [[10, 1], [39, 1]]
     # linear polynomial lifts to itself
-    assert hensel_lift_factorization([3, 1], 5, 3) == [[3, 1]]
+    assert _lift_mod_p_factors([3, 1], 5, 3) == [[3, 1]]
 
 
 def test_hensel_not_squarefree():
     with pytest.raises(NotSquarefreeAtP):
-        hensel_lift_factorization([1, 2, 1], 2, 3)  # (x+1)^2 mod 2
+        _lift_mod_p_factors([1, 2, 1], 2, 3)  # (x+1)^2 mod 2: the blocks are not coprime
 
 
 def test_hensel_consistency_relift():
@@ -164,8 +170,8 @@ def test_hensel_consistency_relift():
         fp = pnormalize(list(f), p)
         if len(fp) != deg + 1 or len(pgcd(fp, pderiv(fp, p), p)) != 1:
             continue
-        low = hensel_lift_factorization(f, p, 2)
-        high = hensel_lift_factorization(f, p, 4)
+        low = _lift_mod_p_factors(f, p, 2)
+        high = _lift_mod_p_factors(f, p, 4)
         assert sorted([c % p ** 2 for c in g] for g in high) == sorted(low)
         prod = [1]
         q = p ** 4

@@ -119,12 +119,11 @@ def test_analyze_ledger_byte_pinned_in_degree_two_residue_fields(seed, digest, m
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
-def _chain_copy_per_sibling(spec, P):
+def _chain_copy_per_sibling(spec, start):
     """Reference layer chain: every sibling is its own node, expanded on its own."""
     from normforge.local import radical_children
-    from normforge.radical import start_node
 
-    nodes = [start_node(spec, P)]
+    nodes = [start]
     for key in ("r1", "r2", "r3"):
         nodes = [kid.child() for node in nodes
                  for kid in radical_children(node, key, spec.q, u_minus_one_key=key + "m1")]
@@ -158,7 +157,7 @@ def test_shared_split_siblings_match_a_copy_per_sibling_expansion(monkeypatch):
     # a shared split sibling; its leaves, verdicts and ledgers must be those
     # of expanding every sibling as its own copy
     from normforge import normeq
-    from normforge.radical import chain_layers, primes_of_interest
+    from normforge.radical import chain_layers, primes_of_interest, start_node
 
     QI = NumberField(UniPoly([1, 0, 1]), name="Q(i)")
     GOLDEN = NumberField(UniPoly([-1, -1, 1]), name="Q(sqrt5)")
@@ -173,8 +172,9 @@ def test_shared_split_siblings_match_a_copy_per_sibling_expansion(monkeypatch):
             continue
         instances.append(instance)
         for P in primes_of_interest(instance.spec):
-            got = _outcome(chain_layers, instance.spec, P)
-            want = _outcome(_chain_copy_per_sibling, instance.spec, P)
+            got = _outcome(lambda: chain_layers(instance.spec, start_node(instance.spec, P)))
+            want = _outcome(lambda: _chain_copy_per_sibling(instance.spec,
+                                                            start_node(instance.spec, P)))
             if isinstance(got, list):
                 leaf_lists += 1
                 shared += len(set(got)) < len(got)
@@ -206,7 +206,7 @@ def test_a_fully_split_prime_expands_and_judges_one_node_per_layer(monkeypatch):
     monkeypatch.setattr(local.LocalPrime, "to_json", counted("json", local.LocalPrime.to_json))
     instance = NormEquationInstance(K3, 3, Fraction(1, 7), Fraction(1, 7), 8)
     P = splitting_type(K3, 7)[0]
-    verdict, note, leaves = normeq._prime_verdict(instance, P)
+    verdict, note, leaves = normeq._prime_verdict(instance, P, radical.start_node(instance.spec, P))
     assert (verdict.kind, note, len(leaves), len(set(leaves))) == ("solvable", "chained", 27, 1)
     assert all(trace.startswith("split(") for trace in leaves[0].trace)
     assert (calls["expand"], calls["judge"]) == (3, 1)

@@ -351,3 +351,93 @@ def test_tracked_node_at_a_split_prime_needs_no_powers_or_inverses(monkeypatch):
     for key, (v, res) in want.items():
         assert (node.get(key).v, node.get(key).residue) == (v, res)
         assert (at_q.get(key).v, at_q.get(key).residue) == (v, res if v == 0 else None)
+
+
+def _direct_local_data(spec, P):
+    """The bad-prime data at P computed directly, as before the start node:
+    (v(x), v(second), v(third)), and the residue of the third element and
+    its q-th power test when it is a unit."""
+    from normforge.finitefield import power_residue_test
+    from normforge.numberfield import residue_map
+
+    field = spec.field
+    vx, v2, v3 = (valuation(field, P, elem) for elem in (spec.x, spec.second, spec.third))
+    res = residue_map(field, P, spec.third) if v3 == 0 else None
+    is_power = v3 == 0 and power_residue_test(res, P.residue_field(), spec.q)
+    return (vx, v2, v3), res, is_power
+
+
+def test_local_hypotheses_read_off_the_start_node_match_direct_valuations(monkeypatch):
+    # protective_conditions, the bad-prime hypothesis witnesses and the
+    # fixorder exclusions read the start node; each must agree with a direct
+    # valuation and residue map, at unramified, ramified and inert primes
+    from normforge import radical
+    from normforge.radical import (
+        PropositionReport,
+        _badprime_hypotheses,
+        _badprimeq_hypotheses,
+        protective_conditions,
+        start_node,
+    )
+
+    rng = random.Random(2601)
+    shapes, units, excluded = set(), 0, 0
+    started = []
+    real_start = radical.start_node
+    monkeypatch.setattr(radical, "start_node", lambda spec, P: started.append(P) or real_start(spec, P))
+    monkeypatch.setattr(radical, "chain_layers", lambda spec, start: [])
+    for field, q in [(K, q) for K in (Q, KI, GOLDEN, K3) for q in (2, 3)] * 3:
+        x, second, third = (field.element([Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3, 5, 9]))
+                                           for _ in range(field.degree)]) for _ in range(3))
+        extra = [P for p in (2, 3, 5) for P in splitting_type(field, p)]
+        for variant in (XBC, XDA):
+            try:
+                spec = RadicalTowerSpec(field, q, variant, x, second, third)
+            except DegenerateRadicand:
+                continue
+            n2 = spec.second_name
+            for P in primes_of_interest(spec, extra=extra):
+                start = start_node(spec, P)
+                (vx, v2, v3), res, is_power = _direct_local_data(spec, P)
+                shapes.add((P.e, P.f_deg))
+                units += v3 == 0
+                conds, vals, got_res = protective_conditions(spec, start)
+                assert vals == (vx, v2, v3) and got_res == res
+                assert conds == [is_power, vx >= 0, q * vx >= (q - 1) * v2, v2 % q == 0]
+                report = PropositionReport("badprime", spec)
+                if variant == XBC:
+                    _badprime_hypotheses(report, spec, P, start)
+                    witness = f"residue {list(res.coeffs)}" if v3 == 0 else f"v(c) = {v3} != 0"
+                    want = [(P.p != q, f"p = {P.p}"), (v3 == 0 and not is_power, witness),
+                            (vx < 0, f"v(x) = {vx}"), (v2 % q != 0, f"v(b) = {v2}"),
+                            (q * vx < (q - 1) * v2, f"{q * vx} < {(q - 1) * v2}")]
+                else:
+                    _badprimeq_hypotheses(report, spec, P, start)
+                    want = [(P.p == q, f"p = {P.p}"), (False, "no certificate"),
+                            (vx < 0, f"v(x) = {vx}"), (v2 % q != 0, f"v(d) = {v2}"),
+                            (v2 <= -3 * P.e, f"v(d) = {v2}, -3v(q) = {-3 * P.e}"),
+                            (v3 == 0, f"v(a) = {v3}"),
+                            (q * vx < (q - 1) * v2, f"{q * vx} < {(q - 1) * v2}")]
+                assert [(h["passed"], h["witness"]) for h in report.hypotheses] == want
+            kind = "fixorder" if variant == XBC else "fixorderq"
+            del started[:]
+            try:
+                report = verify_proposition(kind, spec)
+            except MissingRootOfUnity:
+                continue
+            # a factor of q is excluded from fixorder before its start node is built
+            assert started == [P for P in primes_of_interest(spec) if kind == "fixorderq" or P.p != q]
+            want = {}
+            for P in primes_of_interest(spec):
+                (vx, v2, _), _, _ = _direct_local_data(spec, P)
+                if kind == "fixorder" and P.p == q:
+                    want[P] = "factor of q, outside the statement"
+                elif kind == "fixorder" and vx < 0:
+                    want[P] = "pole of x, outside the statement"
+                elif kind == "fixorderq" and min(v2, vx) < 0:
+                    want[P] = "pole of d or x, outside the statement"
+            got = {P: c["details"] for P, c in zip(primes_of_interest(spec), report.conclusions)
+                   if c["holds"] == "excluded"}
+            assert got == want
+            excluded += len(want)
+    assert {(1, 1), (2, 1), (1, 2)} <= shapes and units >= 50 and excluded >= 30

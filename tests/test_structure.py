@@ -281,6 +281,21 @@ def test_only_tracked_node_fills_a_local_prime():
     assert outside == {"radical.py:tracked_node"}
 
 
+LOCAL_DATA = ("valuation", "residue_map", "padic_unit", "uniformizer", "power_residue_test")
+
+
+def _local_data_readers(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    return set().union(*(_enclosing_functions(tree, name) for name in LOCAL_DATA))
+
+
+def test_the_start_node_is_the_one_source_of_local_data():
+    # every local hypothesis at a prime reads the start node of the prime;
+    # only tracked_node computes a valuation or a residue in the chain
+    assert _local_data_readers("radical.py") == {"tracked_node"}
+    assert _local_data_readers("normeq.py") & {"analyze", "_prime_verdict"} == set()
+
+
 def test_one_sieve_loop_factors_by_degree():
     # monic and non-monic inputs share the one degree sieve of the
     # irreducibility certificate; no second loop runs distinct_degree
