@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import HypothesisFail, NormforgeError, RamifiedCase, SearchExhausted
-from .finitefield import FiniteField, power_residue_test
+from .finitefield import FiniteField, power_test_in_extension
 from .intfunc import is_prime, multiplicative_order
 from .polyq import UniPoly, cyclotomic_poly
 from .zfactor import is_irreducible_over_q
@@ -80,7 +80,7 @@ def find_auxiliary_ell(q, m, bound=10 ** 5):
     ell = 1 + step
     while ell <= bound:
         if is_prime(ell) and ell != q:
-            if not power_residue_test(q % ell, FiniteField(ell), q):
+            if not power_test_in_extension(FiniteField(ell).element(q), q, 1):
                 return ell
         ell += step
     raise SearchExhausted(f"no auxiliary prime below {bound} (they are infinite in supply)")

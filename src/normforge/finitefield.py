@@ -3,13 +3,13 @@
 Elements are immutable coefficient tuples (reduced, no trailing zeros).  The
 arithmetic delegates to `modp`: a product is one `pmod` of the convolution, a
 power one `ppow_mod`.  A prime field (f = 1) holds constants and uses the
-built-in `pow` and products mod p.  The q-th power residue test follows the
-exponent criterion: a is a q-th power iff a^((p^f-1)/q) = 1 when q | p^f - 1,
-and unconditionally otherwise (the q-power map is then a bijection); in a
-prime field that is Euler's criterion, one `pow`.  `power_test_in_extension`
-runs the same test for the image of an element inside F_{p^(f*k)} without
-ever constructing the larger field, by reducing the exponent modulo the
-order of the smaller group.
+built-in `pow` and products mod p.  The one q-th power residue test,
+`power_test_in_extension`, follows the exponent criterion: a is a q-th power
+in F_{p^k} iff a^((p^k-1)/q) = 1 when q | p^k - 1, and unconditionally
+otherwise (the q-power map is then a bijection); in a prime field that is
+Euler's criterion, one `pow`.  For a in a subfield F_{p^f}, f | k, it runs
+without constructing the larger field, by reducing the exponent modulo the
+order of the smaller group; k = f tests a in its own field.
 """
 
 from .errors import NormforgeError, ZeroResidue
@@ -123,26 +123,6 @@ class FFElem:
         return f"FF({list(self.coeffs)} over {self.field})"
 
 
-def _power_is_one(coeffs, e, field):
-    """True iff the unit with these stored coefficients, raised to e, is 1."""
-    if field.f == 1:
-        return pow(coeffs[0], e, field.p) == 1
-    return ppow_mod(coeffs, e, field.modulus, field.p) == [1]
-
-
-def power_residue_test(a, field, q):
-    """True iff a is a q-th power in the residue field.
-
-    a may be an int (reduced into the prime subfield) or an FFElem.
-    Zero is rejected: the caller must ensure a is a unit.
-    """
-    coeffs = pnormalize([a], field.p) if isinstance(a, int) else a.coeffs
-    if not coeffs:
-        raise ZeroResidue("power residue test on 0")
-    n = field.order - 1
-    return n % q != 0 or _power_is_one(coeffs, n // q, field)
-
-
 def power_test_in_extension(a, q, ext_f):
     """q-th power test for a's image in F_{p^ext_f} (a lives in F_{p^f0}).
 
@@ -158,4 +138,7 @@ def power_test_in_extension(a, q, ext_f):
     big = field.p ** ext_f - 1
     if big % q != 0:
         return True
-    return _power_is_one(a.coeffs, (big // q) % (field.order - 1), field)
+    e = (big // q) % (field.order - 1)
+    if field.f == 1:
+        return pow(a.coeffs[0], e, field.p) == 1
+    return ppow_mod(a.coeffs, e, field.modulus, field.p) == [1]

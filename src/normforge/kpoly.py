@@ -77,15 +77,16 @@ def has_primitive_root_of_unity(field, q):
 
     q is totally ramified in Q(zeta_q), so zeta_q in K forces q - 1 | e(P|q)
     at every prime P of K above q.  Where Z[theta] is maximal at q, the
-    splitting of q rules most fields out before Trager's test runs.
+    splitting of q rules most fields out before Trager's test runs.  The
+    answer is cached on the field, so Trager runs once per (field, q).
     """
     if q == 2:
         return True
-    if field.degree % (q - 1) != 0:
-        return False
-    try:
-        if any(P.e % (q - 1) for P in splitting_type(field, q)):
-            return False
-    except NonMonogenicAtP:
-        pass
-    return has_root_in_field(field, cyclotomic_poly(q))
+    if q not in field._mu_cache:
+        try:
+            possible = field.degree % (q - 1) == 0 and not any(
+                P.e % (q - 1) for P in splitting_type(field, q))
+        except NonMonogenicAtP:
+            possible = True
+        field._mu_cache[q] = possible and has_root_in_field(field, cyclotomic_poly(q))
+    return field._mu_cache[q]

@@ -8,6 +8,8 @@ the tame rule table:
   * v(u) !== 0 mod q, p not| q  -> one child, e * q    (total tame ramification)
   * v(u) = 0, residue a q-th power -> q children unchanged (complete split)
   * v(u) = 0, residue not a q-th power -> one child, f * q (inert)
+  * v(u) = 0, q not| p^f - 1         -> MissingRootOfUnity: then mu_q is not
+    in the base field, which every layer presupposes
   * p | q with v(u - 1) >= 3 v(q)  -> q children unchanged (Hensel guard)
   * any other p | q case -> an Indeterminate marker child; wild ramification
     is never guessed.
@@ -27,9 +29,9 @@ the exact 2-adic Hilbert symbol, not a guess.
 
 from fractions import Fraction
 
-from .errors import MissingTrace, NormforgeError
+from .errors import MissingRootOfUnity, MissingTrace, NormforgeError
 from .finitefield import power_test_in_extension
-from .intfunc import multiplicative_order, valuation_fraction
+from .intfunc import valuation_fraction
 from .modp import _frac_mod
 
 
@@ -108,10 +110,6 @@ class LocalPrime:
             raise MissingTrace(f"element {key!r} is not tracked at this prime")
         return self.tracked[key]
 
-    def v_of_q(self):
-        """Valuation of the rational prime p at this node (= e)."""
-        return self.e
-
     def child(self, e_mult=1, f_mult=1, note="", indeterminate=False, twist=None):
         """Derived node; `twist` refreshes unit residues through a tame
         totally ramified step.
@@ -176,13 +174,11 @@ class LocalPrime:
         }
 
 
-def radical_children(lp, u_key, q, u_minus_one_key=None, xi_q=True):
+def radical_children(lp, u_key, q, u_minus_one_key=None):
     """Children of lp in the layer obtained by adjoining a q-th root of u.
 
-    The xi_q flag states whether the q-th roots of unity are known to lie in
-    the base field; without them the tame non-residue case splits into a
-    degree-1 factor plus factors of degree ord(p^f mod q) instead of staying
-    a single inert prime.
+    The base field must contain the q-th roots of unity; a tame unramified
+    node with q not| p^f - 1 shows that it does not.
     """
     p = lp.p
     t = lp.get(u_key)
@@ -197,26 +193,22 @@ def radical_children(lp, u_key, q, u_minus_one_key=None, xi_q=True):
             twist = (t.residue, pow(t.v % q, -1, q))
         return [lp.child(e_mult=q, note=f"ramified({u_key}): v={t.v} !== 0 mod q", twist=twist)]
     if p == q:
-        guard = 3 * lp.v_of_q()
+        guard = 3 * lp.e
         if u_minus_one_key is not None and u_minus_one_key in lp.tracked:
             vm1 = lp.get(u_minus_one_key).v
             if vm1 >= guard:
                 return [lp.child(note=f"guard-split({u_key}): v(u-1)={vm1}>=3v(q)={guard}")] * q
         return [lp.child(note=f"wild({u_key}): no Hensel guard", indeterminate=True)]
+    if not q_divides_group(p, lp.f, q):
+        # mu_q in the base field would embed in the residue field F_(p^f)*
+        raise MissingRootOfUnity(f"q = {q} does not divide {p}^{lp.f} - 1, so the base field "
+                                 f"lacks a primitive {q}-th root of unity")
     is_power = lp.residue_is_qth_power(u_key, q)
-    if q_divides_group(p, lp.f, q):
-        if is_power is None:
-            return [lp.child(note=f"unramified({u_key}): residue unknown", indeterminate=True)]
-        if is_power:
-            return [lp.child(note=f"split({u_key}): residue is a q-th power")] * q
-        return [lp.child(f_mult=q, note=f"inert({u_key}): residue not a q-th power")]
-    # q does not divide p^f - 1: the q-power map is onto, one root always
-    if xi_q:
-        # xi_q in the field forces q | p^f - 1 at unramified tame primes
-        raise NormforgeError("xi_q claimed but q does not divide the residue group order")
-    d = multiplicative_order(pow(p, lp.f, q), q)
-    return ([lp.child(note=f"tame-root({u_key}): unique root, local degree 1")]
-            + [lp.child(f_mult=d, note=f"tame-orbit({u_key}): zeta_q orbit of size {d}")] * ((q - 1) // d))
+    if is_power is None:
+        return [lp.child(note=f"unramified({u_key}): residue unknown", indeterminate=True)]
+    if is_power:
+        return [lp.child(note=f"split({u_key}): residue is a q-th power")] * q
+    return [lp.child(f_mult=q, note=f"inert({u_key}): residue not a q-th power")]
 
 
 def leaves_to_json(leaves):
@@ -249,7 +241,7 @@ def classify_norm_layer(lp, c_key, q, c_minus_one_key=None):
     p = lp.p
     t = lp.get(c_key)
     if p == q:
-        guard = 3 * lp.v_of_q()
+        guard = 3 * lp.e
         if c_minus_one_key is not None and c_minus_one_key in lp.tracked:
             if lp.get(c_minus_one_key).v >= guard:
                 return "guard-split"

@@ -46,6 +46,7 @@ from .radical import (
     XBC,
     XDA,
     RadicalTowerSpec,
+    _require_mu_q,
     chain_layers,
     check_nonsplit_certificate,
     primes_of_interest,
@@ -60,17 +61,12 @@ class NormEquationInstance:
     """One instance of the norm equation over its auxiliary tower."""
 
     def __init__(self, field, q, x, second, third, S=(), variant=XBC,
-                 nonsplit_certificate=None, claims_compliant=False):
+                 nonsplit_certificate=None):
         self.spec = RadicalTowerSpec(field, q, variant, x, second, third,
                                      nonsplit_certificate=nonsplit_certificate)
         self.field = field
         self.q = q
         self.S = list(S)
-        if claims_compliant:
-            c = self.spec.third
-            in_theta, in_phi = theta_phi_membership(field, c, self.S, q)
-            if not (in_theta and in_phi and omega_membership(field, c, q)):
-                raise NormforgeError("instance claims a compliant c but it is not")
 
     def to_json(self):
         out = self.spec.to_json()
@@ -161,11 +157,16 @@ def _prime_verdict(instance, P, start):
 
 
 def analyze(instance):
-    """(global verdict, LocalLedger) for one norm-equation instance."""
+    """(global verdict, LocalLedger) for one norm-equation instance.
+
+    The layers are Kummer extensions, cyclic of degree q only over a field
+    with the q-th roots of unity: without them, MissingRootOfUnity.
+    """
     from .local import archimedean_check
 
     field, q = instance.field, instance.q
     spec = instance.spec
+    _require_mu_q(spec)
     ledger = LocalLedger()
     interest = primes_of_interest(spec, extra=instance.S)
     poles_outside_w = []
@@ -452,18 +453,15 @@ def ring_filter(field, p, d, x, w_primes):
 def unbounded_denominator_probe(tree, q, v_rhs_base, c_residue):
     """Least tree level where the local obstruction vanishes at every factor.
 
-    c_residue may be a prime-field int or an FFElem recorded in the residue
-    field of some tree level (its degree must divide the node's f for the
-    node to be measurable; smaller levels are skipped as "instance not yet
-    defined").  At a node the obstruction is gone when either the right
-    side's order (scaled by the relative e) is divisible by q, or c's
-    residue has become a q-th power in the grown residue field.
+    c_residue is an FFElem recorded in the residue field of some tree level
+    (its degree must divide the node's f for the node to be measurable;
+    smaller levels are skipped as "instance not yet defined").  At a node
+    the obstruction is gone when either the right side's order (scaled by
+    the relative e) is divisible by q, or c's residue has become a q-th
+    power in the grown residue field.
     """
-    from .finitefield import FiniteField, power_test_in_extension
+    from .finitefield import power_test_in_extension
 
-    p = tree.base_prime
-    if isinstance(c_residue, int):
-        c_residue = FiniteField(p).element(c_residue)
     f0 = c_residue.field.f
     e_base = None
     for level in range(tree.depth + 1):

@@ -37,7 +37,7 @@ from .errors import (
     PrecisionExhausted,
     SearchExhausted,
 )
-from .finitefield import FiniteField, power_residue_test
+from .finitefield import FiniteField, power_test_in_extension
 from .hensel import crt_idempotents, lift_blocks
 from .intfunc import centered_residue, crt, factorint, is_prime, valuation_int
 from .modp import (
@@ -90,6 +90,7 @@ class NumberField:
         self.name = name or f"Q[x]/({_poly_label(poly)})"
         self._block_cache = {}
         self._splitting_cache = {}
+        self._mu_cache = {}  # q -> whether a primitive q-th root of unity lies in K
         self._real_roots = None
         self._high_powers = None
 
@@ -564,7 +565,7 @@ def residue_nonqth_power(field, P, c, q):
     if v != 0:
         raise NotAUnit(f"v_P(c) = {v} != 0")
     r = residue_map(field, P, c)
-    return not power_residue_test(r, P.residue_field(), q)
+    return not power_test_in_extension(r, q, P.f_deg)
 
 
 def omega_membership(field, alpha, q):
@@ -644,38 +645,6 @@ def conjugate_interval(alpha, width=Fraction(1, 1024)):
 
 
 # ---------------------------------------------------------------------------
-# tower edges
-
-
-class TowerEdge:
-    """Inclusion of `lower` into `upper` via the image of lower's generator."""
-
-    def __init__(self, lower, upper, image):
-        image = upper.element(image)
-        if not lower.poly(image).is_zero():
-            raise NormforgeError("image does not satisfy the lower defining polynomial")
-        self.lower = lower
-        self.upper = upper
-        self.image = image
-
-    def relative_ef(self, P_lower):
-        """[(P_upper, e_rel, f_rel)] for the upper primes matching P_lower.
-
-        Matching: P_upper lies over P_lower iff the pushed two-element
-        generator g_lower(image) has positive valuation at P_upper.
-        """
-        witness = UniPoly(P_lower.g)(self.image)
-        out = []
-        for P_up in splitting_type(self.upper, P_lower.p):
-            if valuation(self.upper, P_up, witness) > 0:
-                e_rel = P_up.e // P_lower.e
-                f_rel = P_up.f_deg // P_lower.f_deg
-                assert P_up.e % P_lower.e == 0 and P_up.f_deg % P_lower.f_deg == 0
-                out.append((P_up, e_rel, f_rel))
-        return out
-
-
-# ---------------------------------------------------------------------------
 # constructive strong approximation
 
 
@@ -712,8 +681,9 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
     literal target for congruences, p^shift for untracked blocks), the
     targets are merged by coefficient-wise integer CRT, and the result is
     divided by the cleared p-powers.  Every constraint is re-verified; the
-    positivity loop adds multiples of the full modulus, which preserves all
-    congruences.  Deterministic throughout.
+    loop adds multiples of the full modulus, which preserves all
+    congruences, until the result is nonzero (and totally nonnegative when
+    asked).  Deterministic throughout.
     """
     byp = {}
     seen = set()
@@ -729,68 +699,66 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
         byp.setdefault(P.p, {"val": {}, "cong": {}})["cong"][P.index] = (P, field.element(target), k)
 
     n = field.degree
-    for slack in (1, 4, 8):
-        residue_targets = []  # (modulus p^m, coefficient vector length n)
-        shifts = {}  # p -> cleared power
-        for p in sorted(byp):
-            data = byp[p]
-            primes = splitting_type(field, p)
-            neg = min((v for (_, v) in data["val"].values()), default=0)
-            shift = max(0, -neg)
-            shifts[p] = shift
-            need = max(
-                [abs(v) + shift * P.e for (P, v) in data["val"].values()]
-                + [-(-k // P.e) + shift for (P, _, k) in data["cong"].values()]
-                + [1]
-            )
-            m = need + slack
-            q = p ** m
-            idem = crt_idempotents(local_blocks(field, p, m), p, m)
-            target_poly = []
-            for P in primes:
-                if P.index in data["val"]:
-                    _, v = data["val"][P.index]
-                    w = v + shift * P.e
-                    if w == 0:
-                        comp = [1]
-                    else:
-                        pi = uniformizer(field, P)
-                        comp = _int_coeff_vector(pi ** w, q)
-                elif P.index in data["cong"]:
-                    _, tgt, k = data["cong"][P.index]
-                    comp = _int_coeff_vector(tgt * (p ** shift), q)
+    residue_targets = []  # (modulus p^m, coefficient vector length n)
+    shifts = {}  # p -> cleared power
+    for p in sorted(byp):
+        data = byp[p]
+        primes = splitting_type(field, p)
+        neg = min((v for (_, v) in data["val"].values()), default=0)
+        shift = max(0, -neg)
+        shifts[p] = shift
+        need = max(
+            [abs(v) + shift * P.e for (P, v) in data["val"].values()]
+            + [-(-k // P.e) + shift for (P, _, k) in data["cong"].values()]
+            + [1]
+        )
+        # v_P(p^m) = m e exceeds every prescribed order and congruence depth
+        m = need + 1
+        q = p ** m
+        idem = crt_idempotents(local_blocks(field, p, m), p, m)
+        target_poly = []
+        for P in primes:
+            if P.index in data["val"]:
+                _, v = data["val"][P.index]
+                w = v + shift * P.e
+                if w == 0:
+                    comp = [1]
                 else:
-                    comp = [p ** shift % q]
-                target_poly = padd(target_poly, pmul(comp, idem[P.index], q), q)
-            # reduce modulo the full f to stay inside the power basis
-            red = pmod(target_poly, field.poly.num, q)
-            residue_targets.append((q, red + [0] * (n - len(red))))
+                    pi = uniformizer(field, P)
+                    comp = _int_coeff_vector(pi ** w, q)
+            elif P.index in data["cong"]:
+                _, tgt, k = data["cong"][P.index]
+                comp = _int_coeff_vector(tgt * (p ** shift), q)
+            else:
+                comp = [p ** shift % q]
+            target_poly = padd(target_poly, pmul(comp, idem[P.index], q), q)
+        # reduce modulo the full f to stay inside the power basis
+        red = pmod(target_poly, field.poly.num, q)
+        residue_targets.append((q, red + [0] * (n - len(red))))
 
-        # coefficient-wise CRT across rational primes
-        moduli = [q for q, _ in residue_targets] or [1]
-        beta_coords = []
-        for i in range(n):
-            ress = [vec[i] if i < len(vec) else 0 for _, vec in residue_targets] or [0]
-            beta_coords.append(crt(ress, moduli) if residue_targets else 0)
-        modulus_all = 1
-        for q in moduli:
-            modulus_all *= q
+    # coefficient-wise CRT across rational primes
+    moduli = [q for q, _ in residue_targets] or [1]
+    beta_coords = []
+    for i in range(n):
+        ress = [vec[i] if i < len(vec) else 0 for _, vec in residue_targets] or [0]
+        beta_coords.append(crt(ress, moduli) if residue_targets else 0)
+    modulus_all = 1
+    for q in moduli:
+        modulus_all *= q
 
-        denom = 1
-        for p, s in shifts.items():
-            denom *= p ** s
+    denom = 1
+    for p, s in shifts.items():
+        denom *= p ** s
 
-        for bump in range(0, 64):
-            coords = list(beta_coords)
-            coords[0] += bump * modulus_all
-            if all(c == 0 for c in coords):
+    for bump in range(0, 64):
+        coords = list(beta_coords)
+        coords[0] += bump * modulus_all
+        beta = field.element(coords)
+        cand = beta * Fraction(1, denom)
+        if _verify_constraints(field, cand, valuations, congruences):
+            if positivity and not omega_membership(field, cand, 2):
                 continue
-            beta = field.element(coords)
-            cand = beta * Fraction(1, denom)
-            if _verify_constraints(field, cand, valuations, congruences):
-                if positivity and not omega_membership(field, cand, 2):
-                    continue
-                return cand
+            return cand
     raise SearchExhausted("strong approximation search exhausted")
 
 

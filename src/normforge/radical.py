@@ -167,12 +167,10 @@ def start_node(spec, P):
 def chain_layers(spec, start):
     """Leaves of the three layers below `start`, in the fixed order r1, r2, r3.
 
-    `start` is the start node of a prime (`start_node`).  The layers claim
-    the q-th roots of unity (radical_children's xi_q) and nothing checks the
-    claim: over a field without them, a layer whose radicand has v == 0 mod
-    q at a tame node with q not| p^f - 1 raises NormforgeError.  Identical
-    split siblings are one shared node, so each distinct node is expanded
-    once.
+    `start` is the start node of a prime (`start_node`).  The layers need
+    the q-th roots of unity in the base field, and the callers check that
+    first (`_require_mu_q`).  Identical split siblings are one shared node,
+    so each distinct node is expanded once.
     """
     nodes = [start]
     for key in _LAYER_KEYS:

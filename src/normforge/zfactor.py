@@ -2,8 +2,11 @@
 
 Used for irreducibility certificates of defining polynomials and Gaussian
 period polynomials, and as the rational-side engine of Trager's method for
-factoring over a number field.  Sizes here are desk scale (degree <= ~30),
-so plain subset recombination after Hensel lifting is adequate.
+factoring over a number field.  Trager norms have degree [K:Q] (q - 1): 72
+for Q(zeta_21) at q = 7, 288 for Q(zeta_39) at q = 13.  Certificates see
+defining polynomials and period polynomials of degree q^m (243 at q = 3,
+m = 5).  Recombination tries plain subsets after Hensel lifting, so its cost
+grows with the number of modular factors, not with the degree.
 
 Irreducibility is first tried by a mod-p degree sieve (Musser, JACM 1978) on
 the integer coefficients: a factor of degree d over Q has degree d mod every

@@ -253,6 +253,18 @@ def test_normeq_analyze_cli(tmp_path, capsys):
     assert any(e["verdict"]["verdict"] == "unsolvable" for e in report["ledger"]["entries"])
 
 
+def test_normeq_analyze_cli_needs_mu_q(tmp_path, capsys):
+    # over Q at q = 3 the layers are not Kummer extensions: a domain error
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(README_SPEC, field={"poly": ["0", "1"]},
+                                    x=["1/5"], b=["1"], c=["2"])))
+    code, out = run_cli(["normeq", "analyze", "--instance", str(path)], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert (report["error"], report["message"]) == (
+        "MissingRootOfUnity", "Q[x]/(x) lacks a primitive 3-th root of unity")
+
+
 def test_ec_lemmas_cli(capsys):
     code, out = run_cli(
         ["ec", "lemmas", "--curve", '{"a": 0, "c": -2}', "--point", '{"x": 3, "y": 5}',

@@ -34,7 +34,7 @@ def test_find_auxiliary_ell_impossible_level_refuses_at_once(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("find_auxiliary_ell scanned candidates")
 
-    monkeypatch.setattr(cyclic, "power_residue_test", no_scan)
+    monkeypatch.setattr(cyclic, "power_test_in_extension", no_scan)
     for m in (3, 4):
         with pytest.raises(SearchExhausted, match=r"mod 8\) makes 2 a square"):
             find_auxiliary_ell(2, m)

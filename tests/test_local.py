@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from normforge.errors import MissingTrace, NormforgeError
+from normforge.errors import MissingRootOfUnity, MissingTrace, NormforgeError
 from normforge.finitefield import FiniteField
 from normforge.local import (
     LocalPrime,
     LocalVerdict,
+    Tracked,
     archimedean_check,
     conservation_total,
     hilbert_symbol,
@@ -84,14 +85,43 @@ def test_child_tables_stay_separate():
     assert kid.get("u").v == 1 and kid.get("u").residue == lp.get("u").residue
 
 
-def test_radical_children_without_xi():
-    # x^5 - u at p with 5 not dividing p^f - 1: one root plus orbits
-    lp = make_lp(3)  # 3^1 - 1 = 2, 5 does not divide
+def test_tame_unramified_node_without_mu_q_raises():
+    # 5 does not divide 3 - 1, so mu_5 does not embed in F_3* and cannot lie
+    # in the base field that a Kummer layer of degree 5 needs
+    lp = make_lp(3)
     lp.track("u", 0, FiniteField(3).element(2))
-    kids = radical_children(lp, "u", 5, xi_q=False)
-    sizes = sorted((k.e, k.f) for k in kids)
-    assert sizes == [(1, 1), (1, 4)]  # ord(3 mod 5) = 4
-    assert conservation_total(kids, lp) == 5
+    with pytest.raises(MissingRootOfUnity, match=r"q = 5 does not divide 3\^1 - 1"):
+        radical_children(lp, "u", 5)
+
+
+def test_norm_solvable_on_an_indeterminate_leaf():
+    lp = LocalPrime(3, trace=("wild(r1): no Hensel guard",), indeterminate=True)
+    v = local_norm_solvable(lp, "rhs", "c", 3)
+    assert v.kind == LocalVerdict.INDETERMINATE
+    assert v.reason == "layer chain already indeterminate: wild(r1): no Hensel guard"
+
+
+def test_norm_solvable_unramified_with_a_stale_c_residue():
+    # v(c) == 0 mod q but c's residue went stale: split or inert is unknown,
+    # and only v(rhs) == 0 mod q decides, by the unit-norm rule
+    for v_rhs, kind in ((3, LocalVerdict.SOLVABLE), (0, LocalVerdict.SOLVABLE),
+                        (1, LocalVerdict.INDETERMINATE)):
+        lp = make_lp(7)
+        lp.tracked["c"] = Tracked(3, FiniteField(7).element(2), fresh=False)
+        lp.track("rhs", v_rhs)
+        v = local_norm_solvable(lp, "rhs", "c", 3)
+        assert v.kind == kind, v_rhs
+        assert ("lcft-unit-norm-rule" in v.reason) == (kind == LocalVerdict.SOLVABLE)
+
+
+def test_norm_solvable_wild_without_hilbert_fallback():
+    # p = q = 3 with no guard: wild, and the 2-adic Hilbert symbol does not apply
+    lp = make_lp(3)
+    lp.track("c", 0, FiniteField(3).element(2))
+    lp.track("rhs", 1)
+    v = local_norm_solvable(lp, "rhs", "c", 3)
+    assert v.kind == LocalVerdict.INDETERMINATE
+    assert v.reason == "wild ramification at a factor of q is not modeled"
 
 
 def test_norm_solvable_inert_parity():

@@ -10,9 +10,11 @@ import pytest
 from normforge.errors import (
     ConclusionViolation,
     HypothesisFail,
+    MissingRootOfUnity,
     NormforgeError,
     SearchExhausted,
 )
+from normforge.finitefield import FiniteField
 from normforge.local import LocalVerdict
 from normforge.normeq import (
     NormEquationInstance,
@@ -256,17 +258,50 @@ def test_sentinel_one_only_where_c_is_a_unit():
             analyze(NormEquationInstance(Q, 2, x, b, c))
 
 
+@pytest.mark.parametrize("q, x, b, c", [(3, Fraction(1, 5), 1, 2),
+                                        (3, Fraction(1, 7), Fraction(1, 7), 82),
+                                        (5, Fraction(1, 11), 1, 3)])
+def test_analyze_needs_mu_q(q, x, b, c):
+    # the layers are cyclic of degree q only over a field with the q-th roots
+    # of unity; Q has none for odd q
+    with pytest.raises(MissingRootOfUnity, match=rf"^Q lacks a primitive {q}-th root of unity$"):
+        analyze(NormEquationInstance(Q, q, x, b, c))
+
+
+def test_battery_needs_mu_q():
+    # the pole at 7 has a non-cube rational c, so the battery reaches analyze
+    with pytest.raises(MissingRootOfUnity):
+        integrality_battery(Q, Fraction(1, 7), 3)
+
+
+def test_trager_runs_once_per_field_and_q(monkeypatch):
+    # has_primitive_root_of_unity caches its answer on the field, so analyze,
+    # the battery and verify_proposition share one Trager test per (field, q)
+    from normforge import kpoly
+    from normforge.radical import RadicalTowerSpec, XBC, verify_proposition
+
+    calls = []
+    real = kpoly.has_root_in_field
+    monkeypatch.setattr(kpoly, "has_root_in_field",
+                        lambda field, h: calls.append(field) or real(field, h))
+    for _ in range(2):
+        field = NumberField(UniPoly([1, 1, 1]), name="Q(zeta3)")  # fresh: an empty cache
+        P7 = splitting_type(field, 7)[0]
+        spec = RadicalTowerSpec(field, 3, XBC, Fraction(1, 7), Fraction(1, 7), 82)
+        for _ in range(2):
+            analyze(NormEquationInstance(field, 3, Fraction(1, 7), Fraction(1, 7), 82))
+            verify_proposition("badprime", spec, P7)
+            verify_proposition("fixorder", spec)
+        integrality_battery(field, Fraction(1, 7), 3)
+        assert [f for f in calls if f is field] == [field]
+    assert len(calls) == 2
+
+
 def test_rhs_zero_rejected_before_analysis():
     from normforge.errors import DegenerateRadicand
 
     with pytest.raises(DegenerateRadicand):
         NormEquationInstance(Q, 3, -1, 1, 82)
-
-
-def test_instance_claiming_compliance_is_audited():
-    with pytest.raises(NormforgeError):
-        NormEquationInstance(Q, 2, 5, 1, 3, claims_compliant=True)  # 3 - 1 = 2: fails Phi_2
-    NormEquationInstance(Q, 2, 5, 1, 17, claims_compliant=True)  # 16: v_2 = 4 >= 3
 
 
 def test_solvable_for_compliant_random_instances():
@@ -469,7 +504,6 @@ def test_unbounded_denominator_probe_five_power():
     """The instance lives over Q(xi_5) (level 1, residue field F_16): a
     non-5th-power unit obstructs there, and f jumping to 20 at level 2 makes
     every F_16 unit a 5th power, so the obstruction vanishes at level 2."""
-    from normforge.finitefield import FiniteField
     from normforge.towers import example_tower, grow_tree
 
     r = example_tower("five-power-cyclotomic", depth=3)
@@ -488,7 +522,7 @@ def test_probe_already_unobstructed():
 
     r = example_tower("five-power-cyclotomic", depth=2)
     tree = grow_tree(r, 2, 2)
-    out = unbounded_denominator_probe(tree, 5, v_rhs_base=-5, c_residue=1)
+    out = unbounded_denominator_probe(tree, 5, v_rhs_base=-5, c_residue=FiniteField(2).element(1))
     assert out["level"] == 0
 
 
@@ -499,5 +533,5 @@ def test_probe_bounded_prime_reports_persistence():
     tree = grow_tree(const, 2, 2)
     # q = 3, v stays -1, residue fixed non-cube... F_2 has trivial units: group
     # 2^f - 1 = 1: all cubes: no obstruction mechanism; use v_rhs = -1, q = 2
-    out = unbounded_denominator_probe(tree, 2, v_rhs_base=-1, c_residue=1)
+    out = unbounded_denominator_probe(tree, 2, v_rhs_base=-1, c_residue=FiniteField(2).element(1))
     assert out["level"] == 0 or out["level"] is None

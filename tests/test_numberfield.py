@@ -13,7 +13,6 @@ from normforge.intfunc import is_prime, valuation_int
 from normforge.modp import pdivmod
 from normforge.numberfield import (
     NumberField,
-    TowerEdge,
     _mult_det,
     conjugate_interval,
     dedekind_criterion_ok,
@@ -490,6 +489,13 @@ def test_strong_approx_worked_examples():
         strong_approx_element(Q, valuations=[(P7, 1), (P7, 2)])
 
 
+def test_strong_approx_all_zero_target_bumps_by_the_modulus():
+    # the target for v_5(result - 0) >= 2 is 0 mod 5^3, which is not an
+    # answer, so one multiple of the modulus is added
+    P5, = splitting_type(Q, 5)
+    assert strong_approx_element(Q, congruences=[(P5, 0, 2)]).as_rational() == 125
+
+
 def test_strong_approx_self_verifies_on_number_field():
     rng = random.Random(3)
     for _ in range(10):
@@ -520,6 +526,16 @@ def test_strong_approx_positivity():
     assert valuation(SQRT2, P7s[0], w) == 1
 
 
+def test_strong_approx_positivity_bumps_past_a_negative_conjugate():
+    # the first candidate, w - 7^3 / 7, has a negative real conjugate, so the
+    # loop adds the modulus 7^3 once before the division by 7
+    P7 = splitting_type(SQRT2, 7)[1]
+    w = strong_approx_element(SQRT2, valuations=[(P7, -1)], positivity=True)
+    assert w.coords == [Fraction(347, 7), Fraction(181, 7)]
+    assert valuation(SQRT2, P7, w) == -1 and omega_membership(SQRT2, w, 2)
+    assert not omega_membership(SQRT2, w - 49, 2)
+
+
 def test_conjugate_interval():
     lo, hi = conjugate_interval(SQRT2.element(2))
     assert lo.lo == lo.hi == 2 and hi.lo == hi.hi == 2
@@ -533,20 +549,6 @@ def test_conjugate_interval():
 def test_element_support():
     sup = element_support(K3, K3.element(Fraction(8, 2401)))
     assert sorted((P.p, v) for P, v in sup) == [(2, 3), (7, -4), (7, -4)]
-
-
-def test_tower_edge_relative_ef():
-    quartic = NumberField(UniPoly([-2, 0, 0, 0, 1]), name="Q(2^(1/4))")
-    edge = TowerEdge(SQRT2, quartic, quartic.element([0, 0, 1, 0]))
-    P2s, = splitting_type(SQRT2, 2)
-    rel = edge.relative_ef(P2s)
-    assert [(e, f) for _, e, f in rel] == [(2, 1)]
-    # a split prime: 7 = (3+sqrt2)(3-sqrt2) stays... check consistency only
-    for P in splitting_type(SQRT2, 7):
-        for P_up, e_rel, f_rel in edge.relative_ef(P):
-            assert P_up.e == P.e * e_rel and P_up.f_deg == P.f_deg * f_rel
-    with pytest.raises(NormforgeError):
-        TowerEdge(SQRT2, quartic, quartic.element([0, 1, 0, 0]))
 
 
 def test_uniformizer_at_ramified_prime():

@@ -283,7 +283,7 @@ def test_local_chain_matches_global_splitting():
             vv = valuation(K3, P, K3.element(u))
             res = residue_map(K3, P, K3.element(u)) if vv == 0 else None
             node.track("two", vv, res)
-            for child in radical_children(node, "two", 3, xi_q=True):
+            for child in radical_children(node, "two", 3):
                 predicted.append((child.e, child.f))
         assert sorted(predicted) == sorted((P.e, P.f_deg) for P in global_primes)
         checked += 1
@@ -311,7 +311,7 @@ def test_local_chain_matches_global_quadratic_layers():
             vv = valuation(Q, P, Q.element(u))
             res = residue_map(Q, P, Q.element(u)) if vv == 0 else None
             node.track("u", vv, res)
-            predicted = [(c.e, c.f) for c in radical_children(node, "u", 2, xi_q=True)]
+            predicted = [(c.e, c.f) for c in radical_children(node, "u", 2)]
             assert sorted(predicted) == sorted((G.e, G.f_deg) for G in global_primes), (u, p)
 
 
@@ -357,13 +357,13 @@ def _direct_local_data(spec, P):
     """The bad-prime data at P computed directly, as before the start node:
     (v(x), v(second), v(third)), and the residue of the third element and
     its q-th power test when it is a unit."""
-    from normforge.finitefield import power_residue_test
+    from normforge.finitefield import power_test_in_extension
     from normforge.numberfield import residue_map
 
     field = spec.field
     vx, v2, v3 = (valuation(field, P, elem) for elem in (spec.x, spec.second, spec.third))
     res = residue_map(field, P, spec.third) if v3 == 0 else None
-    is_power = v3 == 0 and power_residue_test(res, P.residue_field(), spec.q)
+    is_power = v3 == 0 and power_test_in_extension(res, spec.q, P.f_deg)
     return (vx, v2, v3), res, is_power
 
 

@@ -281,7 +281,7 @@ def test_only_tracked_node_fills_a_local_prime():
     assert outside == {"radical.py:tracked_node"}
 
 
-LOCAL_DATA = ("valuation", "residue_map", "padic_unit", "uniformizer", "power_residue_test")
+LOCAL_DATA = ("valuation", "residue_map", "padic_unit", "uniformizer", "power_test_in_extension")
 
 
 def _local_data_readers(module):
