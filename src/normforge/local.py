@@ -124,6 +124,7 @@ class LocalPrime:
             tracked = dict(self.tracked)  # Tracked entries are never mutated, so they are shared
         else:
             tracked = {}
+            powers = {}  # u_r^expo, each computed once per child
             for key, t in self.tracked.items():
                 v = t.v * e_mult
                 if t.v == 0:
@@ -131,9 +132,10 @@ class LocalPrime:
                 elif (twist is not None and twist[0] is not None
                       and t.fresh and t.residue is not None):
                     u_r_res, alpha = twist
-                    group = u_r_res.field.order - 1
-                    expo = (-alpha * t.v) % group
-                    res, fresh = t.residue * (u_r_res ** expo), True
+                    expo = (-alpha * t.v) % (u_r_res.field.order - 1)
+                    if expo not in powers:
+                        powers[expo] = u_r_res ** expo
+                    res, fresh = t.residue * powers[expo], True
                 else:
                     res, fresh = t.residue, False
                 tracked[key] = Tracked(v, res, fresh)
@@ -219,13 +221,6 @@ def leaves_to_json(leaves):
 
 def q_divides_group(p, f, q):
     return (pow(p, f, q) - 1) % q == 0
-
-
-def conservation_total(children, parent):
-    """Sum of relative local degree growth over children (q per clean layer)."""
-    return sum(
-        (c.e // parent.e) * (c.f // parent.f) for c in children if not c.indeterminate
-    )
 
 
 # ---------------------------------------------------------------------------

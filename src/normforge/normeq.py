@@ -166,7 +166,7 @@ def analyze(instance):
 
     field, q = instance.field, instance.q
     spec = instance.spec
-    _require_mu_q(spec)
+    _require_mu_q(field, q)
     ledger = LocalLedger()
     interest = primes_of_interest(spec, extra=instance.S)
     poles_outside_w = []
@@ -207,7 +207,7 @@ def analyze_direct(field, q, c, rhs):
 
     Used when the instance is already in normal form; interest primes are
     the supports of c and rhs plus the factors of q, and the archimedean
-    places.
+    places.  Like analyze, it needs the q-th roots of unity in K.
     """
     from .local import archimedean_check
 
@@ -215,6 +215,7 @@ def analyze_direct(field, q, c, rhs):
     rhs = field.element(rhs)
     if c.is_zero() or rhs.is_zero():
         raise NormforgeError("c and rhs must be nonzero")
+    _require_mu_q(field, q)
     interest = {}
     for elem in (c, rhs):
         for P, _ in element_support(field, elem):

@@ -20,14 +20,16 @@ from g^e is the local factor F_P, and
 corrected for the power of p cleared from denominators.  Each valuation is
 one certified pass: a lift mod p^m gives a resultant that is correct mod p^m,
 so the first value below m is exact, and m doubles only while p^m divides it.
-At a block x - r of degree one the resultant is A(r), the p-adic image of A,
-which also gives the unit residue at once (`padic_unit`).  Residue maps
+At e = 1, O_P is Z_p[x]/(F_P), so one image A mod (F_P, p^m) gives both the
+valuation and the unit residue (`padic_unit`), with the uniformizer and the
+residue of pi/p cached on the prime; at a block x - r it is A(r).  Residue maps
 divide the reduced representative by the cleared p-power inside
 Z/p^m[x]/(F_P), which is valid in the discrete valuation ring whatever the
 ramification; with no p in the denominator they reduce mod (p, g) directly.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     NoRealConjugates,
@@ -360,7 +362,7 @@ def _mult_det(f, a):
 class PrimeIdeal:
     """Prime of K above p, presented Kummer-Dedekind style as (p, g(theta))."""
 
-    __slots__ = ("field", "p", "g", "e", "f_deg", "index", "_residue_field", "_w")
+    __slots__ = ("field", "p", "g", "e", "f_deg", "index", "_residue_field", "_pi", "_w", "_w_inv")
 
     def __init__(self, field, p, g, e, f_deg, index):
         self.field = field
@@ -371,7 +373,7 @@ class PrimeIdeal:
         self.index = index  # position in the canonical splitting order
         self._residue_field = (FiniteField(p) if f_deg == 1
                                else FiniteField(p, list(g), check=False))
-        self._w = None  # w mod p, pi(r) = p w, for padic_unit at e = f = 1
+        self._pi = self._w = self._w_inv = None  # pi, and at e = 1 pi / p mod P and its inverse
 
     def residue_field(self):
         return self._residue_field
@@ -461,36 +463,26 @@ def _integral_rep(alpha, p):
 
 
 def valuation(field, P, alpha):
-    """v_P(alpha); returns the float +inf for alpha = 0."""
+    """v_P(alpha), from R = Res(F, A) mod p^m for P's block F lifted from
+    m = 2s + 8; returns the float +inf for alpha = 0."""
     alpha = field.element(alpha)
     if alpha.is_zero():
         return INF
-    return _certified_image(field, P, alpha)[0]
-
-
-def _certified_image(field, P, alpha):
-    """(v_P(alpha), R, v_p(R), d0) for alpha = A(theta) / (p^s d0) != 0.
-
-    One pass: P's block F is lifted to p^m, from m = 2s + 8, and m doubles
-    only while p^m divides R = Res(F, A) mod p^m.  At a block x - r,
-    R = A(r) is the p-adic image of A.
-    """
     p = P.p
-    A, s, d0 = _integral_rep(alpha, p)
+    A, s, _ = _integral_rep(alpha, p)
     m = 2 * s + 8
     while m <= MAX_PRECISION:
-        found = _resultant_valuation(local_blocks(field, p, m)[P.index], A, p, m)
-        if found is not None:
-            t, res = found
+        t = _resultant_valuation(local_blocks(field, p, m)[P.index], A, p, m)
+        if t is not None:
             if t % P.f_deg != 0:
                 raise AssertionError("resultant valuation not divisible by f_deg")
-            return t // P.f_deg - P.e * s, res, t, d0
+            return t // P.f_deg - P.e * s
         m *= 2
     raise PrecisionExhausted(f"valuation at p={p} beyond precision cap")
 
 
 def _resultant_valuation(F, A, p, m):
-    """(v_p(R), R) for R = Res(F, A) mod p^m if p^m does not divide it, else None.
+    """v_p(R) for R = Res(F, A) mod p^m if p^m does not divide it, else None.
 
     F is the lifted monic block, known mod p^m only.  R is an integer
     polynomial in the coefficients, so a lift mod p^m gives R correct mod
@@ -508,27 +500,50 @@ def _resultant_valuation(F, A, p, m):
         exact = _mult_det([centered_residue(c, q) for c in F], a)
     if exact % q == 0:
         return None
-    return valuation_int(exact, p), exact
+    return valuation_int(exact, p)
 
 
 def padic_unit(field, P, alpha):
-    """(v_P(alpha), residue of alpha / pi^v) at P with e = f = 1.
+    """(v_P(alpha), residue of alpha / pi^v) at P with e = 1.
 
-    theta -> r, the root of P's block x - r, embeds K in Q_p.  It maps
-    alpha = A(theta) / (p^s d0) to R / (p^s d0), R = A(r), and
-    pi = uniformizer(field, P) to p w, w a unit whose residue is cached on
-    P.  So v = v_p(R) - s and the residue is R / (p^(v+s) d0 w^v) mod p.
-    Zero has no unit part and raises NotAUnit before any lift.
+    pi = uniformizer(field, P) is p w, w a unit whose residue and its
+    inverse are cached on P, so the residue of alpha / pi^v is that of
+    alpha / p^v (`_unit_image`) times w^(-v).  Zero raises NotAUnit.
     """
     alpha = field.element(alpha)
     if alpha.is_zero():
         raise NotAUnit("zero has no unit part")
-    p = P.p
+    k = P.residue_field()
     if P._w is None:
-        _, R, t, d0 = _certified_image(field, P, uniformizer(field, P))
-        P._w = R // p ** t * pow(d0, -1, p)
-    v, R, t, d0 = _certified_image(field, P, alpha)
-    return v, P.residue_field().element(R // p ** t * pow(d0, -1, p) * pow(P._w, -v, p))
+        _, W, scale, d = _unit_image(field, P, uniformizer(field, P))
+        P._w = k.element([c // scale * d for c in W])
+        P._w_inv = P._w.inverse()
+    v, B, scale, d = _unit_image(field, P, alpha)
+    if P.f_deg == 1:  # in F_p the twist is one integer power, cheaper than FFElem's
+        return v, k.element(B[0] // scale * d * pow(P._w.coeffs[0], -v, P.p))
+    res = k.element([b // scale * d for b in B])
+    return v, res * (P._w_inv ** v if v > 0 else P._w ** -v) if v else res
+
+
+def _unit_image(field, P, alpha):
+    """(v_P(alpha), B, p^t, d0^-1 mod p) at P with e = 1, for alpha != 0.
+
+    O_P = Z_p[x]/(F), F P's block, and alpha = A(theta) / (p^s d0) maps to
+    B = A mod (F, p^m), correct mod p^m: once B != 0, t = v_p(gcd B) is
+    exact, v = t - s, and alpha / p^v has the residue B / (p^t d0) mod (p, g).
+    """
+    p = P.p
+    A, s, d0 = _integral_rep(alpha, p)
+    m = 2 * s + 8
+    while m <= MAX_PRECISION:
+        q = p ** m
+        F = local_blocks(field, p, m)[P.index]
+        B = [peval(A, -F[0], q)] if len(F) == 2 else pmod(A, F, q)
+        if any(B):
+            t = valuation_int(gcd(*B), p)
+            return t - s, B, p ** t, pow(d0, -1, p)
+        m *= 2
+    raise PrecisionExhausted(f"valuation at p={p} beyond precision cap")
 
 
 def residue_map(field, P, alpha):
@@ -652,7 +667,14 @@ UNIFORMIZER_TRIES = 64
 
 
 def uniformizer(field, P):
-    """pi with v_P(pi) = 1 and v = 0 at the other primes over the same p."""
+    """pi with v_P(pi) = 1 and v = 0 at the other primes over the same p,
+    searched once per prime and cached on P."""
+    if P._pi is None:
+        P._pi = _search_uniformizer(field, P)
+    return P._pi
+
+
+def _search_uniformizer(field, P):
     p = P.p
     siblings = [Q for Q in splitting_type(field, p) if Q != P]
     if not siblings and P.e == 1:

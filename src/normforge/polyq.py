@@ -405,25 +405,14 @@ def refine_root(f, interval, width, seq=None):
 
 
 def sign_at_root(g, f, interval):
-    """Sign of g at the root of squarefree f isolated by `interval`.
+    """Sign of g at the root of f isolated by `interval`, as -1 or 1.
 
-    Returns -1, 0, or 1.  Exact zero is only reported when gcd(f, g) vanishes
-    on the interval, so for f irreducible and deg g < deg f the answer is a
-    definite sign.
+    f must be irreducible over Q and g nonzero of degree below deg f, as for
+    a field's defining polynomial and an element: then g(root) != 0, so the
+    refinement ends once g's enclosure excludes 0.
     """
-    common = poly_gcd(f, g)
-    if common.degree and common.degree > 0:
-        if interval.lo == interval.hi:
-            if common(interval.lo) == 0:
-                return 0
-        elif count_real_roots(common, interval.lo, interval.hi) > 0:
-            return 0
-        f = (f // common).monic()
     iv = interval
     while True:
-        if iv.lo == iv.hi:
-            v = g(iv.lo)
-            return 0 if v == 0 else (1 if v > 0 else -1)
         lo, hi = g.eval_interval(iv.lo, iv.hi)
         if lo > 0:
             return 1

@@ -75,12 +75,12 @@ class RadicalTowerSpec:
             raise DegenerateRadicand("b x^q + b^q = 0: tower undefined")
         self.rhs = rhs
         one = field.one()
-        base = x if variant == XBC else second
-        self.radicands = {
-            "r1": one + base.inverse(),
-            "r2": one + rhs.inverse(),
-            "r3": one + (third + third.inverse()) * base.inverse(),
-        }
+        inv_base = (x if variant == XBC else second).inverse()
+        # the differences r - 1 and third - 1 drive the p | q Hensel guard
+        self.differences = {"r1m1": inv_base, "r2m1": rhs.inverse(),
+                            "r3m1": (third + third.inverse()) * inv_base,
+                            self.third_name + "m1": third - one}
+        self.radicands = {key: one + self.differences[key + "m1"] for key in _LAYER_KEYS}
         for key, r in self.radicands.items():
             if r.is_zero():
                 raise DegenerateRadicand(f"radicand {key} vanishes")
@@ -94,8 +94,10 @@ class RadicalTowerSpec:
         return "c" if self.variant == XBC else "a"
 
     def elements(self):
+        """x, second, third, rhs, the radicands and their differences from 1."""
         out = {"x": self.x, self.second_name: self.second, self.third_name: self.third, "rhs": self.rhs}
         out.update(self.radicands)
+        out.update(self.differences)
         return out
 
     def to_json(self):
@@ -129,39 +131,30 @@ def tracked_node(field, P, q, elements):
     """LocalPrime at P tracking each named element: valuation and residue.
 
     The residue is that of the element's unit part, alpha / pi^v, read off
-    one p-adic image at e = f = 1 (`padic_unit`); at a factor of q only
-    units get one.  A zero element gets the valuation 10**9, a stand-in for
-    +infinity that passes every guard.
+    one p-adic image at e = 1 (`padic_unit`); at e > 1 it takes a
+    valuation, a power of the uniformizer cached on P and a residue map.  At
+    a factor of q only units get one.  A zero element gets the valuation
+    10**9, a stand-in for +infinity that passes every guard.
     """
     node = LocalPrime(P.p, P.e, P.f_deg)
-    pi = None
     for key, val in elements.items():
         if val.is_zero():
             node.track(key, 10 ** 9)
             continue
-        if P.e == P.f_deg == 1:
+        if P.e == 1:
             v, res = padic_unit(field, P, val)
         else:
             v = valuation(field, P, val)
             res = None
-            if v == 0:
-                res = residue_map(field, P, val)
-            elif P.p != q:
-                if pi is None:
-                    pi = uniformizer(field, P)
-                res = residue_map(field, P, val * pi ** (-v))
+            if v == 0 or P.p != q:
+                res = residue_map(field, P, val * uniformizer(field, P) ** (-v) if v else val)
         node.track(key, v, res if v == 0 or P.p != q else None)
     return node
 
 
 def start_node(spec, P):
     """LocalPrime at P with every tower element tracked (valuation, residue)."""
-    elems = spec.elements()
-    # difference elements drive the p | q Hensel guard
-    one = spec.field.one()
-    elems.update({key + "m1": elems[key] - one for key in _LAYER_KEYS})
-    elems[spec.third_name + "m1"] = spec.third - one
-    return tracked_node(spec.field, P, spec.q, elems)
+    return tracked_node(spec.field, P, spec.q, spec.elements())
 
 
 def chain_layers(spec, start):
@@ -180,9 +173,9 @@ def chain_layers(spec, start):
     return nodes
 
 
-def _require_mu_q(spec):
-    if not has_primitive_root_of_unity(spec.field, spec.q):
-        raise MissingRootOfUnity(f"{spec.field.name} lacks a primitive {spec.q}-th root of unity")
+def _require_mu_q(field, q):
+    if not has_primitive_root_of_unity(field, q):
+        raise MissingRootOfUnity(f"{field.name} lacks a primitive {q}-th root of unity")
 
 
 def build_tower(spec, primes=None):
@@ -190,7 +183,7 @@ def build_tower(spec, primes=None):
 
     Returns {PrimeIdeal: [leaf LocalPrime]} with full traces.
     """
-    _require_mu_q(spec)
+    _require_mu_q(spec.field, spec.q)
     if primes is None:
         primes = primes_of_interest(spec)
     return {P: chain_layers(spec, start_node(spec, P)) for P in primes}
@@ -370,7 +363,7 @@ def verify_proposition(kind, spec, target_prime=None):
     if kind.startswith("fixorder"):
         _check_fixorder_conclusions(report, spec, kind)
     else:
-        _require_mu_q(spec)
+        _require_mu_q(spec.field, spec.q)
         leaves = chain_layers(spec, start)
         report.local_trace[target_prime] = leaves
         if at_q:
@@ -422,7 +415,7 @@ def _check_fixorder_conclusions(report, spec, kind):
     poles = ("x",) if kind == "fixorder" else ("d", "x")
     # every conclusion is about the tower, which needs mu_q, even when all
     # primes of interest turn out to be excluded
-    _require_mu_q(spec)
+    _require_mu_q(spec.field, spec.q)
     for P in primes_of_interest(spec):
         where = f"({P.p}, #{P.index})"
         if kind == "fixorder" and P.p == q:

@@ -592,6 +592,59 @@ def test_sign_at_root():
     assert sign_at_root(UniPoly([3, 1]), f, neg) == 1  # 3 - sqrt(2) > 0
 
 
+def _sign_at_root_gcd_first(g, f, interval):
+    """The sign of g at a root of squarefree f, after splitting off gcd(f, g)."""
+    from normforge.polyq import count_real_roots, poly_gcd
+
+    common = poly_gcd(f, g)
+    if common.degree and common.degree > 0:
+        if interval.lo == interval.hi:
+            if common(interval.lo) == 0:
+                return 0
+        elif count_real_roots(common, interval.lo, interval.hi) > 0:
+            return 0
+        f = (f // common).monic()
+    iv = interval
+    while True:
+        if iv.lo == iv.hi:
+            v = g(iv.lo)
+            return 0 if v == 0 else (1 if v > 0 else -1)
+        lo, hi = g.eval_interval(iv.lo, iv.hi)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        iv = refine_root(f, iv, iv.width / 4)
+
+
+def test_sign_at_root_matches_the_gcd_first_reference():
+    # for f irreducible and g nonzero of lower degree gcd(f, g) = 1, so the
+    # sign needs no gcd; seeded g over Q(sqrt2), Q(sqrt5) and the totally
+    # real cubic x^3 - 3x + 1, some of them small at a conjugate
+    rng = random.Random(2807)
+    signs = set()
+    for f in (UniPoly([-2, 0, 1]), UniPoly([-1, -1, 1]), UniPoly([1, -3, 0, 1])):
+        roots = real_root_isolate(f)
+        assert len(roots) == f.degree
+        for _ in range(40):
+            g = UniPoly([Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                         for _ in range(f.degree)])
+            if rng.random() < 0.3:  # x - m, m within 1/1000 of a root: many refinements
+                fine = refine_root(f, rng.choice(roots), Fraction(1, 1000))
+                g = UniPoly([-(fine.lo + fine.hi) / 2, 1])
+            if g.is_zero():
+                continue
+            for iv in roots:
+                got = sign_at_root(g, f, iv)
+                assert got == _sign_at_root_gcd_first(g, f, iv) != 0
+                signs.add(got)
+    assert signs == {-1, 1}
+    # Q = Q[x]/(x): its one root is the point 0 and g is a nonzero constant
+    zero, = real_root_isolate(UniPoly([0, 1]))
+    for c in (-3, Fraction(1, 2)):
+        assert sign_at_root(UniPoly([c]), UniPoly([0, 1]), zero) == (1 if c > 0 else -1)
+
+
 def test_refine_root_width():
     f = UniPoly([-2, 0, 1])
     iv = real_root_isolate(f)[1]

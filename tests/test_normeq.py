@@ -268,6 +268,16 @@ def test_analyze_needs_mu_q(q, x, b, c):
         analyze(NormEquationInstance(Q, q, x, b, c))
 
 
+def test_analyze_direct_needs_mu_q():
+    # the layer K(c^(1/3))/K is cyclic only over a field with the cube roots
+    # of unity; Q has none, and a real place, so no cyclic-layer rule applies
+    with pytest.raises(MissingRootOfUnity, match=r"^Q lacks a primitive 3-th root of unity$"):
+        analyze_direct(Q, 3, 2, 5)
+    verdict, ledger = analyze_direct(K3, 3, 2, 5)
+    assert verdict.kind == LocalVerdict.INDETERMINATE  # wild at 3
+    assert ledger.archimedean.reason == "q > 2: archimedean completions are complex"
+
+
 def test_battery_needs_mu_q():
     # the pole at 7 has a non-cube rational c, so the battery reaches analyze
     with pytest.raises(MissingRootOfUnity):

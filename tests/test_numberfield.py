@@ -330,20 +330,20 @@ def test_a_valuation_certified_at_its_first_precision_takes_one_resultant(monkey
 
 
 def test_padic_unit_matches_valuation_and_the_uniformizer_shift():
-    # at e = f = 1 one image A(r) mod p^m gives v_P(alpha) and the residue
-    # of alpha / pi^v; elements carry 0, 1 and 2 factors of p in the
-    # denominator and 0, 1 or 2 factors of theta - r in the numerator
+    # at e = 1 one image A mod (F, p^m) gives v_P(alpha) and the residue of
+    # alpha / pi^v, at every residue degree; elements carry 0, 1 and 2
+    # factors of p in the denominator and 0, 1 or 2 factors of g(theta) in
+    # the numerator
     rng = random.Random(2311)
-    seen_v, seen_s, checked, wider = set(), set(), 0, 0
-    for field in (Q, GAUSS, GOLDEN, K3, CUBE2):
-        theta = field.gen()
+    seen_v, seen_s, seen_f, checked, wider, higher = set(), set(), set(), 0, 0, 0
+    for field in (Q, GAUSS, GOLDEN, K3, CUBE2, NumberField.cyclotomic(5)):
         for p in range(2, 60):
             if not is_prime(p):
                 continue
             for P in splitting_type(field, p):
-                if (P.e, P.f_deg) != (1, 1):
+                if P.e != 1:
                     continue
-                near = theta + field.element(P.g[0] + p)  # theta - r mod p: v_P >= 1
+                near = UniPoly(P.g)(field.gen()) + p  # v_P >= 1, p when g = f
                 for alpha in _local_elements(rng, field, p, 9):
                     alpha = alpha * near ** rng.randint(0, 2)
                     v = valuation(field, P, alpha)
@@ -351,10 +351,37 @@ def test_padic_unit_matches_valuation_and_the_uniformizer_shift():
                     assert padic_unit(field, P, alpha) == (v, residue_map(field, P, shifted))
                     seen_v.add(v)
                     seen_s.add(valuation_int(alpha.den, p))
+                    seen_f.add(P.f_deg)
                     checked += 1
                     wider += field.degree > 1
-    assert seen_v >= {-2, -1, 0, 1, 2} and seen_s == {0, 1, 2}
-    assert checked > 600 and wider > 450
+                    higher += P.f_deg > 1
+    assert seen_v >= {-2, -1, 0, 1, 2} and seen_s == {0, 1, 2} and seen_f >= {1, 2, 3, 4}
+    assert checked > 1200 and wider > 1000 and higher > 500
+
+
+def test_the_uniformizer_search_runs_once_per_prime(monkeypatch):
+    # uniformizer(field, P) caches its search on P: fresh fields, so every
+    # prime starts uncached, and repeated calls and analyses search no more
+    import normforge.numberfield as nf
+    from normforge.normeq import NormEquationInstance, analyze
+
+    searched = []
+    real = nf._search_uniformizer
+
+    def counted(field, P):
+        searched.append(P)
+        return real(field, P)
+
+    monkeypatch.setattr(nf, "_search_uniformizer", counted)
+    QI = NumberField(UniPoly([1, 0, 1]), name="Q(i)")
+    Z3 = NumberField(UniPoly([1, 1, 1]), name="Q(zeta3)")
+    for field, q, x in ((QI, 2, Fraction(1, 15)), (Z3, 3, Fraction(2, 35))):
+        for _ in range(3):
+            analyze(NormEquationInstance(field, q, x, Fraction(1, 3), 1 + 8 * q ** 3))
+            for P in splitting_type(field, 5) + splitting_type(field, q):
+                assert uniformizer(field, P) is uniformizer(field, P)
+    assert len(searched) == len(set(map(id, searched))) >= 6
+    assert {(P.e, P.f_deg) for P in searched} >= {(1, 1), (1, 2), (2, 1)}
 
 
 def test_valuation_and_residue_map_share_one_lift():

@@ -441,3 +441,68 @@ def test_local_hypotheses_read_off_the_start_node_match_direct_valuations(monkey
             assert got == want
             excluded += len(want)
     assert {(1, 1), (2, 1), (1, 2)} <= shapes and units >= 50 and excluded >= 30
+
+
+def test_tracked_node_at_a_factor_of_q_of_residue_degree_two():
+    # 2 is inert in Q(zeta3): at q = 2 the start node keeps the residue of
+    # units only, and every valuation and unit residue is the direct one
+    from normforge.numberfield import residue_map
+    from normforge.radical import tracked_node
+
+    P, = splitting_type(K3, 2)
+    assert (P.e, P.f_deg) == (1, 2)
+    rng = random.Random(2805)
+    elements = {f"e{k}": K3.element([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4, 3]))
+                                     for _ in range(2)]) * 2 ** rng.randint(0, 2)
+                for k in range(40)}
+    node = tracked_node(K3, P, 2, {k: a for k, a in elements.items() if not a.is_zero()})
+    vs = set()
+    for key, t in node.tracked.items():
+        v = valuation(K3, P, elements[key])
+        vs.add(v)
+        assert (t.v, t.residue) == (v, residue_map(K3, P, elements[key]) if v == 0 else None)
+    assert {-2, -1, 0, 1, 2} <= vs
+
+
+def test_ledgers_and_reports_at_f2_and_e2_primes_byte_pinned(monkeypatch):
+    """Seeded analyze ledgers and PropositionReport JSON over Q(i), Q(zeta3)
+    and Q(sqrt5), whose primes of interest include unramified primes of
+    residue degree 2 and ramified primes with e = 2, at and away from q."""
+    import hashlib
+    import json
+
+    from normforge import radical
+    from normforge.normeq import NormEquationInstance, analyze
+
+    reached = set()
+    real = radical.tracked_node
+
+    def spy(field, P, q, elements):
+        reached.add((P.e, P.f_deg, P.p == q))
+        return real(field, P, q, elements)
+
+    monkeypatch.setattr(radical, "tracked_node", spy)
+    rng = random.Random(2806)
+    out = []
+    for field, q in ((KI, 2), (K3, 3), (GOLDEN, 2), (K3, 2)) * 3:
+        x, b, c = (field.element([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 9]))
+                                  for _ in range(2)]) for _ in range(3))
+        try:
+            verdict, ledger = analyze(NormEquationInstance(field, q, x, b, c))
+            out.append([verdict.kind, ledger.to_json()])
+            spec = RadicalTowerSpec(field, q, XBC, x, b, c)
+        except NormforgeError as exc:
+            out.append(type(exc).__name__)
+            continue
+        for P in primes_of_interest(spec)[:3]:
+            try:
+                out.append(verify_proposition("badprime", spec, P).to_json())
+            except HypothesisFail as exc:
+                out.append(exc.report.to_json())
+        try:
+            out.append(verify_proposition("fixorder", spec).to_json())
+        except NormforgeError as exc:
+            out.append(type(exc).__name__)
+    assert {(1, 2, False), (1, 2, True), (2, 1, False), (2, 1, True)} <= reached
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d3a3799c84211102"
