@@ -17,19 +17,19 @@ from g^e is the local factor F_P, and
 
     v_P(alpha) = v_p(Res(F_P, A)) / f_deg      (A integral representative)
 
-corrected for the power of p cleared from denominators.  Each valuation is
-one certified pass: a lift mod p^m gives a resultant that is correct mod p^m,
-so the first value below m is exact, and m doubles only while p^m divides it.
-At e = 1, O_P is Z_p[x]/(F_P), so one image A mod (F_P, p^m) gives both the
-valuation and the unit residue (`padic_unit`), with the uniformizer and the
-residue of pi/p cached on the prime; at a block x - r it is A(r).  Residue maps
-divide the reduced representative by the cleared p-power inside
-Z/p^m[x]/(F_P), which is valid in the discrete valuation ring whatever the
-ramification; with no p in the denominator they reduce mod (p, g) directly.
+corrected for the power of p cleared from denominators.  Each valuation is one
+certified pass: a lift mod p^m is correct mod p^m, so the first value below m
+is exact; m starts at the precision held for p (1, no lift, on a fresh field)
+and doubles only while p^m divides it.  At e = 1, O_P is Z_p[x]/(F_P), so one
+image A mod (F_P, p^m) gives both the valuation and the unit residue
+(`padic_unit`), with the uniformizer and the residue of pi/p cached on the
+prime; at a block x - r it is A(r).  Residue maps divide the reduced
+representative by the cleared p-power inside Z/p^m[x]/(F_P), valid in the DVR
+whatever the ramification; with no p in the denominator they reduce mod (p, g).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     NoRealConjugates,
@@ -90,7 +90,7 @@ class NumberField:
         self.poly = poly
         self.degree = poly.degree
         self.name = name or f"Q[x]/({_poly_label(poly)})"
-        self._block_cache = {}
+        self._block_cache = {}  # p -> (M, local blocks mod p^M), one lift per p
         self._splitting_cache = {}
         self._mu_cache = {}  # q -> whether a primitive q-th root of unity lies in K
         self._real_roots = None
@@ -438,20 +438,21 @@ def splitting_type(field, p):
 
 
 def local_blocks(field, p, m):
-    """Lifted coprime blocks of f mod p^m, aligned with splitting_type order."""
-    key = (p, m)
-    if key in field._block_cache:
-        return field._block_cache[key]
-    primes = splitting_type(field, p)
-    blocks_mod_p = []
-    for P in primes:
+    """(M, blocks): the local factors of f at p in splitting_type order, mod
+    p^M for the highest M >= m lifted so far; at M = 1 they are g^e mod p."""
+    held = field._block_cache.get(p)
+    if held is not None and held[0] >= m:
+        return held
+    blocks = []
+    for P in splitting_type(field, p):
         b = [1]
         for _ in range(P.e):
             b = pmul(b, list(P.g), p)
-        blocks_mod_p.append(b)
-    lifted = lift_blocks(field.poly.num, blocks_mod_p, p, m)
-    field._block_cache[key] = lifted
-    return lifted
+        blocks.append(b)
+    if m > 1:
+        blocks = lift_blocks(field.poly.num, blocks, p, m)
+    field._block_cache[p] = held = (m, blocks)
+    return held
 
 
 def _integral_rep(alpha, p):
@@ -463,16 +464,17 @@ def _integral_rep(alpha, p):
 
 
 def valuation(field, P, alpha):
-    """v_P(alpha), from R = Res(F, A) mod p^m for P's block F lifted from
-    m = 2s + 8; returns the float +inf for alpha = 0."""
+    """v_P(alpha), from R = Res(F, A) mod p^m for P's block F, starting at
+    the precision held for p; returns the float +inf for alpha = 0."""
     alpha = field.element(alpha)
     if alpha.is_zero():
         return INF
     p = P.p
     A, s, _ = _integral_rep(alpha, p)
-    m = 2 * s + 8
+    m = field._block_cache.get(p, (1,))[0]  # the precision held for p
     while m <= MAX_PRECISION:
-        t = _resultant_valuation(local_blocks(field, p, m)[P.index], A, p, m)
+        m, blocks = local_blocks(field, p, m)
+        t = _resultant_valuation(blocks[P.index], A, p, m)
         if t is not None:
             if t % P.f_deg != 0:
                 raise AssertionError("resultant valuation not divisible by f_deg")
@@ -522,7 +524,9 @@ def padic_unit(field, P, alpha):
     if P.f_deg == 1:  # in F_p the twist is one integer power, cheaper than FFElem's
         return v, k.element(B[0] // scale * d * pow(P._w.coeffs[0], -v, P.p))
     res = k.element([b // scale * d for b in B])
-    return v, res * (P._w_inv ** v if v > 0 else P._w ** -v) if v else res
+    if not v or P._w.coeffs == (1,):  # w = 1 where P is unramified and alone over p
+        return v, res
+    return v, res * (P._w_inv ** v if v > 0 else P._w ** -v)
 
 
 def _unit_image(field, P, alpha):
@@ -534,10 +538,10 @@ def _unit_image(field, P, alpha):
     """
     p = P.p
     A, s, d0 = _integral_rep(alpha, p)
-    m = 2 * s + 8
+    m = field._block_cache.get(p, (1,))[0]  # the precision held for p
     while m <= MAX_PRECISION:
-        q = p ** m
-        F = local_blocks(field, p, m)[P.index]
+        m, blocks = local_blocks(field, p, m)
+        q, F = p ** m, blocks[P.index]
         B = [peval(A, -F[0], q)] if len(F) == 2 else pmod(A, F, q)
         if any(B):
             t = valuation_int(gcd(*B), p)
@@ -550,8 +554,8 @@ def residue_map(field, P, alpha):
     """Image of alpha in the residue field of P; requires v_P(alpha) = 0.
 
     With p^s in the denominator (s > 0), A = p^s * d0 * alpha is reduced mod
-    the block lifted to p^(2s+8), the precision `valuation` starts from, and
-    divided by p^s there.  With s = 0 no lift is needed: the block is g^e
+    the block lifted to at least p^(s+1) and divided by p^s there, which
+    leaves it correct mod p.  With s = 0 no lift is needed: the block is g^e
     mod p, so A mod (p, g) is the residue.
     """
     alpha = field.element(alpha)
@@ -560,8 +564,8 @@ def residue_map(field, P, alpha):
     p = P.p
     A, s, d0 = _integral_rep(alpha, p)
     if s:
-        m = 2 * s + 8
-        A = pmod(A, local_blocks(field, p, m)[P.index], p ** m)
+        m, blocks = local_blocks(field, p, s + 1)
+        A = pmod(A, blocks[P.index], p ** m)
         # alpha unit at P means A(theta) lies in p^s * O_P exactly
         if any(c % p ** s for c in A):
             raise NotAUnit("element has nonzero valuation at P (p-part mismatch)")
@@ -737,7 +741,8 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
         # v_P(p^m) = m e exceeds every prescribed order and congruence depth
         m = need + 1
         q = p ** m
-        idem = crt_idempotents(local_blocks(field, p, m), p, m)
+        # the idempotents are computed mod p^m, so a deeper lift gives the same ones
+        idem = crt_idempotents(local_blocks(field, p, m)[1], p, m)
         target_poly = []
         for P in primes:
             if P.index in data["val"]:
@@ -764,13 +769,8 @@ def strong_approx_element(field, valuations=(), congruences=(), positivity=False
     for i in range(n):
         ress = [vec[i] if i < len(vec) else 0 for _, vec in residue_targets] or [0]
         beta_coords.append(crt(ress, moduli) if residue_targets else 0)
-    modulus_all = 1
-    for q in moduli:
-        modulus_all *= q
-
-    denom = 1
-    for p, s in shifts.items():
-        denom *= p ** s
+    modulus_all = prod(moduli)
+    denom = prod(p ** s for p, s in shifts.items())
 
     for bump in range(0, 64):
         coords = list(beta_coords)

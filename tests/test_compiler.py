@@ -187,6 +187,37 @@ def test_compile_diffversion_realizes_w_over_q():
     assert atom3["w"] == ["8"]  # w-hat has the same shape with empty S
 
 
+# realized w of diffversion1..3 at q = 2, per (field, primes of S)
+DIFFVERSION_W_PINS = {
+    ("Q(zeta3)", ()): [["8", "0"]] * 3,
+    ("Q(zeta3)", (7,)): [["296", "80"], ["296", "80"], ["8", "0"]],
+    ("Q(zeta3)", (5,)): [["280", "0"], ["280", "0"], ["8", "0"]],
+    ("Q(i)", ()): [["0", "120"]] * 3,
+    ("Q(i)", (7,)): [["3584", "5880"], ["3584", "5880"], ["0", "120"]],
+    ("Q(i)", (5, 5)): [["640", "760"], ["640", "760"], ["0", "120"]],
+}
+
+
+def test_compile_diffversion_realizes_w_over_quadratic_fields():
+    # strong approximation builds its target mod exactly p^m whatever lift
+    # the field holds, so a field warmed to p^64 or p^128 gives the same bytes
+    from normforge.numberfield import NumberField, splitting_type, valuation
+
+    for warm in (False, True):
+        for name, poly in (("Q(zeta3)", [1, 1, 1]), ("Q(i)", [1, 0, 1])):
+            K = NumberField(UniPoly(poly), name=name, check_irreducible=False)
+            for p in (2, 5, 7) if warm else ():
+                valuation(K, splitting_type(K, p)[0], K.element(p ** 40))
+            for S in ((), splitting_type(K, 7)[:1], splitting_type(K, 5)):
+                ws = []
+                for variant in ("diffversion1", "diffversion2", "diffversion3"):
+                    ast = compile_definition(variant, 2, field=K, S=tuple(S))
+                    atom, = (a for a in ast.predicate_atoms if "w" in a)
+                    ws.append(atom["w"])
+                key = (name, tuple(P.p for P in S))
+                assert json.dumps(ws, sort_keys=True) == json.dumps(DIFFVERSION_W_PINS[key])
+
+
 def test_degenerate_layer_rejected():
     from normforge.errors import DegenerateLayer
 

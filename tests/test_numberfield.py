@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normforge.errors import NonMonogenicAtP, NormforgeError, NotAUnit
+from normforge.errors import NonMonogenicAtP, NormforgeError, NotAUnit, PrecisionExhausted
+from normforge.hensel import lift_blocks
 from normforge.intfunc import is_prime, valuation_int
-from normforge.modp import pdivmod
+from normforge.modp import pdivmod, pmul
 from normforge.numberfield import (
     NumberField,
     _mult_det,
     conjugate_interval,
     dedekind_criterion_ok,
     element_support,
-    local_blocks,
     omega_membership,
     padic_unit,
     residue_map,
@@ -250,16 +250,28 @@ def _local_elements(rng, field, p, count):
     return out
 
 
+def _reference_blocks(field, p, m=40):
+    """The blocks g^e of f mod p lifted by hensel.lift_blocks to p^m, at a
+    precision far above every value here, without the field's cache."""
+    blocks = []
+    for P in splitting_type(field, p):
+        b = [1]
+        for _ in range(P.e):
+            b = pmul(b, list(P.g), p)
+        blocks.append(b)
+    return lift_blocks(field.poly.num, blocks, p, m)
+
+
 def test_valuation_matches_the_resultant_on_the_lifted_block():
     # v_P(alpha) = v_p(Res(F, A)) / f - e * s for A = p^s * d0 * alpha and F
-    # the block lifted from g^e, here at a precision far above every value
+    # the block lifted from g^e
     rng = random.Random(1606)
     m = 40
     checked = 0
     for field, ps in LOCAL_CASES:
         for p in ps:
             for P in splitting_type(field, p):
-                F = local_blocks(field, p, m)[P.index]
+                F = _reference_blocks(field, p, m)[P.index]
                 for alpha in _local_elements(rng, field, p, 12):
                     res = _mult_det(F, alpha.num)
                     assert res % p ** m
@@ -288,45 +300,72 @@ def _count_resultants(monkeypatch):
 
 def test_valuation_certifies_the_first_value_below_the_precision(monkeypatch):
     # a lift mod p^m gives a resultant correct mod p^m, so 2^7 is exact at
-    # m = 8, and m doubles only while p^m divides the resultant.  At the
-    # block x^2 + 1 of degree two the resultant is a determinant: (1 + i)^15
-    # has coordinates +-2^7, nonzero mod 2^8, yet 2^8 divides its norm 2^15.
-    # With p^s in the denominator m starts at 2s + 8.
+    # m = 8, and m doubles only while p^m divides the resultant.  A fresh
+    # field holds no lift, so m starts at 1; a later valuation at the same p
+    # starts at the precision held.  At the block x^2 + 1 of degree two the
+    # resultant is a determinant: (1 + i)^15 has coordinates +-2^7, nonzero
+    # mod 2^8, yet 2^8 divides its norm 2^15.
     calls = _count_resultants(monkeypatch)
-    i = GAUSS.gen()
-    P2, = splitting_type(Q, 2)
-    G2, = splitting_type(GAUSS, 2)
-    C5 = next(P for P in splitting_type(CUBE2, 5) if P.f_deg == 2)
-    cases = [(Q, P2, Q.element(2 ** n), valuation_int(2 ** n, 2), precisions)
-             for n, precisions in ((7, [8]), (8, [8, 16]), (20, [8, 16, 32]))]
+
+    def fresh(poly):
+        return NumberField(UniPoly(poly), check_irreducible=False)
+
+    def at(field, p, f_deg=1):
+        return next(P for P in splitting_type(field, p) if P.f_deg == f_deg)
+
+    cases = []
+    for n, precisions in ((7, [1, 2, 4, 8]), (8, [1, 2, 4, 8, 16]), (20, [1, 2, 4, 8, 16, 32])):
+        field = fresh([0, 1])
+        cases.append((field, at(field, 2), field.element(2 ** n), n, precisions))
+    Qw, Gi, Gj, C = fresh([0, 1]), fresh([1, 0, 1]), fresh([1, 0, 1]), fresh([-2, 0, 0, 1])
+    cases += [(Qw, at(Qw, 2), Qw.element(x), expected, precisions) for x, expected, precisions in (
+        (2 ** 7, 7, [1, 2, 4, 8]),  # one field from here on: each starts where the last ended
+        (3, 0, [8]),
+        (Fraction(2 ** 20, 3), 20, [8, 16, 32]),
+        (Fraction(1, 2), -1, [32]),
+    )]
     cases += [
-        (GAUSS, G2, (i + 1) ** 15, valuation_int(2 ** 15, 2), [8, 16]),
-        (GAUSS, G2, (i + 1) ** 3 / 4, 3 - G2.e * valuation_int(4, 2), [10]),
-        (CUBE2, C5, (CUBE2.gen() + 3) / 25, -C5.e * valuation_int(25, 5), [12]),
+        (Gi, at(Gi, 2), (Gi.gen() + 1) ** 15, 15, [1, 2, 4, 8, 16]),
+        # (1 + i)^3 / 4 = (i - 1) / 2: s = 1 and v_P = 3 - 2 * 1
+        (Gj, at(Gj, 2), (Gj.gen() + 1) ** 3 / 4, -1, [1, 2]),
+        (C, at(C, 5, 2), (C.gen() + 3) / 25, -2, [1]),
     ]
     for field, P, alpha, expected, precisions in cases:
         calls.clear()
         assert valuation(field, P, alpha) == expected
         assert calls == precisions
+        assert list(field._block_cache) == [P.p]
+        assert field._block_cache[P.p][0] == precisions[-1]
 
 
 def test_a_valuation_certified_at_its_first_precision_takes_one_resultant(monkeypatch):
+    # each valuation starts at the precision held for p (1 on a fresh field)
+    # and takes one resultant when that certifies it; otherwise it doubles
+    # m until p^m no longer divides the resultant, and the held precision
+    # rises to the m that certified it
     rng = random.Random(1606)
     calls = _count_resultants(monkeypatch)
     checked = 0
+    held_seen = set()
     for field, ps in LOCAL_CASES:
         for p in ps:
+            field = NumberField(field.poly, check_irreducible=False)
             for P in splitting_type(field, p):
-                F = local_blocks(field, p, 40)[P.index]
+                F = _reference_blocks(field, p)[P.index]
                 for alpha in _local_elements(rng, field, p, 12):
-                    s = valuation_int(alpha.den, p)
-                    if valuation_int(_mult_det(F, alpha.num), p) >= 2 * s + 8:
-                        continue
+                    v_res = valuation_int(_mult_det(F, alpha.num), p)
+                    held = field._block_cache.get(p, (1,))[0]
+                    precisions = [held]
+                    while precisions[-1] <= v_res:
+                        precisions.append(2 * precisions[-1])
                     calls.clear()
                     valuation(field, P, alpha)
-                    assert calls == [2 * s + 8]
-                    checked += 1
-    assert checked > 250
+                    assert calls == precisions
+                    assert field._block_cache[p][0] == precisions[-1]
+                    if len(precisions) == 1:
+                        held_seen.add(held)
+                        checked += 1
+    assert checked > 250 and {1, 2, 4} <= held_seen
 
 
 def test_padic_unit_matches_valuation_and_the_uniformizer_shift():
@@ -384,14 +423,25 @@ def test_the_uniformizer_search_runs_once_per_prime(monkeypatch):
     assert {(P.e, P.f_deg) for P in searched} >= {(1, 1), (1, 2), (2, 1)}
 
 
-def test_valuation_and_residue_map_share_one_lift():
-    # a unit with 5 in its denominator: both lift the block to 5^(2s + 8)
+def test_valuation_and_residue_map_share_one_lift(monkeypatch):
+    # a unit with 5 in its denominator: the valuation certifies at 5^2,
+    # after the unlifted 5^1 block, and residue_map reads that same lift
+    import normforge.numberfield as nf
+
+    lifts = []
+
+    def counted(f, blocks, p, m):
+        lifts.append((p, m))
+        return lift_blocks(f, blocks, p, m)
+
+    monkeypatch.setattr(nf, "lift_blocks", counted)
     field = NumberField(UniPoly([1, 0, 1]), name="Q(i)")
     P = min(splitting_type(field, 5), key=lambda P: P.g)
     unit = (field.gen() + 2) / 5
     assert valuation(field, P, unit) == 0
     assert residue_map(field, P, unit).coeffs == (4,)
-    assert list(field._block_cache) == [(5, 10)]
+    assert lifts == [(5, 2)]
+    assert list(field._block_cache) == [5] and field._block_cache[5][0] == 2
 
 
 def test_each_prime_builds_its_residue_field_once():
@@ -405,8 +455,8 @@ def _residue_by_lift(field, P, alpha):
     divide out p^s, reduce mod (p, g) and divide by d0; None at a non-unit."""
     p = P.p
     s = valuation_int(alpha.den, p)
-    m = 2 * s + 6
-    B = pdivmod(alpha.num, local_blocks(field, p, m)[P.index], p ** m)[1]
+    m = 40
+    B = pdivmod(alpha.num, _reference_blocks(field, p, m)[P.index], p ** m)[1]
     if any(c % p ** s for c in B):
         return None
     red = pdivmod([c // p ** s for c in B], list(P.g), p)[1]
@@ -458,6 +508,170 @@ def test_residue_map_matches_lift_and_reduce():
                         assert residue_map(field, P, alpha) == expected
                         by_s[min(valuation_int(alpha.den, p), 2)] += 1
     assert min(by_s.values()) > 40
+
+
+def _reference_valuation(field, P, alpha):
+    F = _reference_blocks(field, P.p)[P.index]
+    v_res = valuation_int(_mult_det(F, alpha.num), P.p)
+    return v_res // P.f_deg - P.e * valuation_int(alpha.den, P.p)
+
+
+def test_local_answers_match_the_deep_lift_cold_and_warm():
+    # valuation, padic_unit and residue_map on fresh fields, each read
+    # against blocks lifted to p^40 directly: cold (no lift held, m starts
+    # at 1) and warm (p^32 held), with the calls in a seeded order
+    rng = random.Random(2917)
+    polys = ([1, 0, 1], [-1, -1, 1], [1, 1, 1], [1, 1, 1, 1, 1], [-2, 0, 0, 1])
+    seen_s, seen_e, held, checked, units_with_p = set(), set(), set(), 0, 0
+    for poly in polys:
+        ref = NumberField(UniPoly(poly), check_irreducible=False)
+        for p in (2, 3, 5, 7, 11):
+            for warm in (False, True):
+                field = NumberField(UniPoly(poly), check_irreducible=False)
+                primes = splitting_type(field, p)
+                if warm:
+                    valuation(field, primes[0], field.element(p ** 20))
+                for P, P_ref in zip(primes, splitting_type(ref, p)):
+                    pi = field.element(uniformizer(ref, P_ref).coords)
+                    near = UniPoly(P.g)(field.gen()) + p  # v_P >= 1, so m doubles
+                    elements = [a * near ** rng.randint(0, 2)
+                                for a in _local_elements(rng, field, p, 9)]
+                    if len(primes) > 1:
+                        # pi^e / p is a unit at P with p in its denominator
+                        elements += [a * (pi ** P.e / p) for a in elements if a.den % p]
+                    for alpha in elements:
+                        v = _reference_valuation(field, P, alpha)
+                        expected = _residue_by_lift(field, P, alpha)
+                        assert (expected is None) == (v != 0)
+                        calls = ["valuation", "residue_map"] + ["padic_unit"] * (P.e == 1)
+                        rng.shuffle(calls)
+                        for call in calls:
+                            if call == "valuation":
+                                assert valuation(field, P, alpha) == v
+                            elif call == "padic_unit":
+                                unit = _residue_by_lift(field, P, alpha * pi ** (-v))
+                                assert padic_unit(field, P, alpha) == (v, unit)
+                            elif expected is None:
+                                with pytest.raises(NotAUnit):
+                                    residue_map(field, P, alpha)
+                            else:
+                                assert residue_map(field, P, alpha) == expected
+                                units_with_p += alpha.den % p == 0
+                        seen_s.add(valuation_int(alpha.den, p))
+                        seen_e.add(P.e)
+                        checked += 1
+                held.add((warm, field._block_cache[p][0]))
+    assert seen_s == {0, 1, 2} and seen_e >= {1, 2, 3, 4}
+    assert {M for warm, M in held if not warm} >= {2, 4, 8}
+    assert min(M for warm, M in held if warm) == 32
+    assert checked > 650 and units_with_p > 80
+
+
+def test_a_unit_at_a_fresh_prime_needs_no_lift(monkeypatch):
+    # with no p in the denominator and v_P(A) = 0 the unlifted block g^e mod
+    # p certifies the valuation and gives the residue
+    import normforge.numberfield as nf
+
+    def refuse(*args):
+        raise AssertionError("lifted a block for a unit with no p in its denominator")
+
+    monkeypatch.setattr(nf, "lift_blocks", refuse)
+    checked = 0
+    for poly in ([1, 0, 1], [1, 1, 1], [1, 1, 1, 1, 1], [-2, 0, 0, 1]):
+        field = NumberField(UniPoly(poly), check_irreducible=False)
+        alpha = field.element([Fraction(c, 77) for c in [13, 1, 0, 1][:field.degree]])
+        for p in (2, 3, 5, 13):
+            for P in splitting_type(field, p):
+                if _reference_valuation(field, P, alpha) != 0:
+                    continue
+                assert valuation(field, P, alpha) == 0
+                assert residue_map(field, P, alpha) == _residue_by_lift(field, P, alpha)
+                assert field._block_cache[p][0] == 1
+                checked += 1
+    assert checked >= 12
+
+
+def test_the_precision_cap_holds_cold_and_warm(monkeypatch):
+    # the cap stops the doubling at the same m whatever precision is held:
+    # 2^15 is certified at m = 16, and 2^16 needs m = 32 and raises.  Both
+    # valuation and padic_unit start at the held precision: 1 on a fresh
+    # field, 2 once padic_unit has read w = 2 / 2, 8 after a valuation of 2^7
+    import normforge.numberfield as nf
+
+    requested = []
+    real = nf.local_blocks
+
+    def spy(field, p, m):
+        requested.append(m)
+        return real(field, p, m)
+
+    monkeypatch.setattr(nf, "local_blocks", spy)
+    monkeypatch.setattr(nf, "MAX_PRECISION", 16)
+    starts = set()
+    for warm in (False, True):
+        for answer in (valuation, padic_unit):
+            field = NumberField.rationals()
+            P, = splitting_type(field, 2)
+            one = P.residue_field().one()
+            if answer is padic_unit:
+                assert padic_unit(field, P, field.one()) == (0, one)
+            if warm:
+                assert valuation(field, P, field.element(2 ** 7)) == 7
+            start = field._block_cache.get(2, (1,))[0]
+            starts.add(start)
+            requested.clear()
+            got = answer(field, P, field.element(2 ** 15))
+            assert got == (15 if answer is valuation else (15, one))
+            assert requested == [m for m in (1, 2, 4, 8, 16) if m >= start]
+            requested.clear()
+            with pytest.raises(PrecisionExhausted):
+                answer(field, P, field.element(2 ** 16))
+            assert requested == [16]
+    assert starts == {1, 2, 8}
+    cold = NumberField.rationals()
+    P, = splitting_type(cold, 2)
+    requested.clear()
+    with pytest.raises(PrecisionExhausted):
+        valuation(cold, P, cold.element(2 ** 64))
+    assert requested == [1, 2, 4, 8, 16]
+
+
+def test_padic_unit_skips_the_twist_where_pi_is_p(monkeypatch):
+    # at an unramified prime alone over p, pi = p and w = 1: padic_unit
+    # returns the residue of alpha / p^v without an FFElem power, and it
+    # equals the general twist res * w^(-v)
+    from normforge.finitefield import FFElem
+
+    rng = random.Random(2918)
+    powers = []
+    real_pow = FFElem.__pow__
+
+    def counted(self, e):
+        powers.append(e)
+        return real_pow(self, e)
+
+    monkeypatch.setattr(FFElem, "__pow__", counted)
+    seen = set()
+    for poly in ([1, 0, 1], [-1, -1, 1], [1, 1, 1]):
+        field = NumberField(UniPoly(poly), check_irreducible=False)
+        for p in (2, 3, 5, 7, 11):
+            P, *others = splitting_type(field, p)
+            if others or P.e != 1:
+                continue
+            assert uniformizer(field, P) == field.element(p)
+            for v in range(-2, 3):
+                u = field.element([rng.randint(1, p - 1), rng.randint(-30, 30)])
+                alpha = u * Fraction(p) ** v
+                powers.clear()
+                got = padic_unit(field, P, alpha)
+                assert powers == []
+                w = P._w
+                assert w == P.residue_field().one()
+                general = residue_map(field, P, u) * (P._w_inv ** v if v > 0 else w ** -v)
+                assert got == (v, general)
+                seen.add((field.name, p, v))
+    assert len({(name, p) for name, p, _ in seen}) >= 7
+    assert {v for *_, v in seen} == {-2, -1, 0, 1, 2}
 
 
 def test_residue_map_pins_over_gaussian_integers():
