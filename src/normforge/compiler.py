@@ -16,6 +16,7 @@ multinomial sum of coordinate monomials, each with a Gamma degree s, and a
 fixed table reduces Gamma^s: in a radical layer to Gamma^(s mod D) times
 num^t den^(M - t), t = s // D (num^t when den = 1); in the cyclotomic layer
 Phi_q(Gamma) = 0 to Gamma^(s mod q), with Gamma^(q-1) = -sum_(g < q-1) Gamma^g.
+A term's scalar is multiplied by num^t den^(M - t) only where that is not 1.
 The recorded power M of an equation is the largest that multiplying each
 monomial's Gamma values left to right would clear, one den per product that
 reaches Gamma^D: n - 1 for a monomial of total degree n >= 1 in the layer
@@ -241,42 +242,49 @@ def _rewrite_equation(eq, expansion):
     (ukey); the rest is a scalar polynomial in the kept variables.
     A coordinate term of ukey with Gamma degree s contributes
     scalar * multinomial * num^t den^(M - t) at Gamma^(s mod D), M being the
-    largest den power of the equation's ukeys.  The product scalar *
-    num^t den^(M - t) is formed once per distinct scalar and t within the
-    equation (M, and so the product, differs between equations), and each
-    of its terms gives the output key head + tail, because every kept index
-    lies below every coordinate index.  Distinct ukeys have disjoint
-    coordinate keys, so each output key is written once.
+    largest den power of the equation's ukeys.  Where num^t den^(M - t) is 1
+    (t = M = 0, as in every term of the cyclotomic layer) the scalar's terms
+    are used as they are, with no product or cache key; otherwise the product
+    is formed once per distinct scalar and t within the equation (M, and so
+    the product, differs between equations).  Its terms give the output keys
+    head + tail, since every kept index lies below every coordinate index.
+    Distinct ukeys have disjoint coordinate keys: each output key is written once.
     """
     table, kept, n_new = expansion.table, expansion.kept, expansion.n
     groups = {}
     for key, coeff in eq.terms.items():
-        ukey = tuple(p for p in key if p not in kept)
-        # kept variables keep their relative order, so this key is sorted
-        groups.setdefault(ukey, {})[tuple(kept[p] for p in key if p in kept)] = coeff
+        ukey, head = [], []  # kept variables keep their relative order, so head is sorted
+        for p in key:
+            k = kept.get(p)
+            if k is None:
+                ukey.append(p)
+            else:
+                head.append(k)
+        groups.setdefault(tuple(ukey), {})[tuple(head)] = coeff
     M = max(map(expansion.den_power, groups), default=0) if table.clears_den else 0
     out = [{} for _ in range(table.degree)]
     products = {}  # (scalar content, t) -> terms of scalar * num^t den^(M - t)
     for ukey, scalar_terms in groups.items():
-        scalar = MultiPoly(n_new)
-        scalar.terms = scalar_terms
-        content = frozenset(scalar_terms.items())
+        content = scalar = None  # the group's cache key and MultiPoly, formed when first needed
         for tail, mult, s in expansion.terms(ukey):
             for g, t, sign in table.reduce(s):
-                head = products.get((content, t))
-                if head is None:
-                    # num^0 den^0 is the constant 1: the product is the scalar
-                    head = products[content, t] = ((scalar * table.base(t, M)).terms
-                                                   if t or M else scalar_terms)
+                if t or M:
+                    content = content or frozenset(scalar_terms.items())
+                    head = products.get((content, t))
+                    if head is None:
+                        if scalar is None:
+                            scalar = MultiPoly(n_new)
+                            scalar.terms = scalar_terms
+                        head = products[content, t] = (scalar * table.base(t, M)).terms
+                else:  # num^0 den^0 is the constant 1: the product is the scalar
+                    head = scalar_terms
                 factor = sign * mult
                 values = (head.values() if factor == 1
                           else map(mul, head.values(), repeat(factor)))
                 out[g].update(zip(map(add, head, repeat(tail)), values))
-    polys = []
-    for dest in out:
-        poly = MultiPoly(n_new)
+    polys = [MultiPoly(n_new) for _ in out]
+    for poly, dest in zip(polys, out):
         poly.terms = dest
-        polys.append(poly)
     return polys, M
 
 
@@ -407,15 +415,10 @@ def build_descended_system(q):
     keep_map = [system.index(v) if v != "Z" else 0 for v in sys0.variables]
     system.add_equation(subsN.extended(system.n, keep_map),
                         origin="norm polynomial with Z = B X^q + B^q")
-    X = lambda s: s.var("X")
-    C = lambda s: s.var("C")
-    one = lambda s: MultiPoly.const(s.n, 1)
-
     # layer 3: Gamma^q = (C^2 + C X + 1) / (C X)
-    s = system
-    num3 = C(s) * C(s) + C(s) * X(s) + one(s)
-    den3 = C(s) * X(s)
-    s = descend_layer(s, u_names, num3, den3, q, "layer3 (c + 1/c)/x")
+    C, X = system.var("C"), system.var("X")
+    s = descend_layer(system, u_names, C * C + C * X + MultiPoly.const(system.n, 1), C * X, q,
+                      "layer3 (c + 1/c)/x")
     layer_vars = [v for v in s.variables if s.provenance[v] == "layer3 (c + 1/c)/x"]
     # layer 2: Gamma^q = (B X^q + B^q + 1) / (B X^q + B^q)
     rhs_poly = s.var("B") * s.var("X", q) + s.var("B", q)
@@ -498,8 +501,7 @@ def compile_definition(variant, q, field=None, S=()):
             atoms = [a for a in atoms if a["name"] != "Omega_q"]
             atoms.append({"name": "four_squares", "args": ["c", "s1", "s2", "s3", "s4"]})
             prefix += [("exists", f"s{i}") for i in range(1, 5)]
-    ast = FormulaAST(variant, q, prefix, system, atoms, notes)
-    return ast
+    return FormulaAST(variant, q, prefix, system, atoms, notes)
 
 
 def verify_witness(system, assignment):
@@ -542,8 +544,6 @@ def square_trick_witness(q, x_val, w_val, b_val):
     assignment["X"] = x_val
     assignment["B"] = b_val
     assignment["C"] = c_val
-    if "Z" in assignment:
-        assignment["Z"] = z
     for i, val in ((1, a0), (2, a1)):
         chain = f"U{i},0,0,0"
         if chain not in assignment:

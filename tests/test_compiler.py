@@ -1,6 +1,7 @@
 """Coordinate norm polynomials, layer descent, and witness machinery."""
 
 import cmath
+import functools
 import hashlib
 import json
 import random
@@ -348,15 +349,13 @@ def _value_digest(system, values):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def test_q3_descent_exact_mod_p(monkeypatch):
-    """The q = 3 tower down to layer1, and the cyclotomic layer of layer2, checked exactly.
+@functools.cache
+def _q3_layers():
+    """The q = 3 norm system's layer3 and layer2 descents, built once.
 
-    Layer3 and layer2 have denominators in the kept variables (C X and
-    B X^3 + B^3), which the constant-relation tests above never exercise.
-    The digests pin the canonical JSON of the outputs; layer1 is pinned by
-    its origins, its term counts and its values at the reassembly point.
+    Returns (parent, child, layer variables, num, den) for each of the two;
+    the systems are shared between tests, which must not change them.
     """
-    assert _canonical_digest(build_descended_system(2)) == "c80f29cb11669134"
     q = 3
     u_names = [f"U{i}" for i in range(1, q + 1)]
     N, sys0 = coordinate_norm_poly(
@@ -371,26 +370,44 @@ def test_q3_descent_exact_mod_p(monkeypatch):
     C, X = base.var("C"), base.var("X")
     num3, den3 = C * C + C * X + one, C * X
     layer3 = descend_layer(base, u_names, num3, den3, q, "layer3 (c + 1/c)/x")
-    _check_reassembly(base, layer3, u_names, q, num3, den3, seed=31)
-    assert _canonical_digest(layer3) == "d0b22a82bef61513"
-
     vars3 = [v for v in layer3.variables if layer3.provenance[v] == "layer3 (c + 1/c)/x"]
     den2 = layer3.var("B") * layer3.var("X", q) + layer3.var("B", q)
     num2 = den2 + MultiPoly.const(layer3.n, 1)
     layer2 = descend_layer(layer3, vars3, num2, den2, q, "layer2 1/(b x^q + b^q)")
+    return (base, layer3, u_names, num3, den3), (layer3, layer2, vars3, num2, den2)
+
+
+def _layer2_vars(layer2):
+    return [v for v in layer2.variables if layer2.provenance[v] == "layer2 1/(b x^q + b^q)"]
+
+
+def test_q3_descent_exact_mod_p(monkeypatch):
+    """The q = 3 tower down to layer1, and the cyclotomic layer of layer2, checked exactly.
+
+    Layer3 and layer2 have denominators in the kept variables (C X and
+    B X^3 + B^3), which the constant-relation tests above never exercise.
+    The digests pin the canonical JSON of the outputs; layer1 is pinned by
+    its origins, its term counts and its values at the reassembly point.
+    """
+    assert _canonical_digest(build_descended_system(2)) == "c80f29cb11669134"
+    q = 3
+    (base, layer3, u_names, num3, den3), (_, layer2, vars3, num2, den2) = _q3_layers()
+    _check_reassembly(base, layer3, u_names, q, num3, den3, seed=31)
+    assert _canonical_digest(layer3) == "d0b22a82bef61513"
     _check_reassembly(layer3, layer2, vars3, q, num2, den2, seed=32)
     assert _canonical_digest(layer2) == "d4e2e345dec0e2bb"
 
-    vars2 = [v for v in layer2.variables if layer2.provenance[v] == "layer2 1/(b x^q + b^q)"]
+    vars2 = _layer2_vars(layer2)
     products = []
     product = MultiPoly.__mul__
     monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or product(a, b))
     xi = descend_cyclotomic(layer2, vars2, q)
     monkeypatch.undo()
-    # every cyclotomic base is the constant 1, so the xi descent multiplies nothing
+    # every cyclotomic base is the constant 1, so the xi descent forms no product
     assert len(products) == 0
     _check_reassembly(layer2, xi, vars2, q - 1, None, None, seed=33)
     assert sum(len(eq.terms) for eq in xi.equations) == 129050
+    assert _canonical_digest(xi) == "da2889b6445b2f45"
     del xi
 
     den1 = layer2.var("X")
@@ -399,7 +416,8 @@ def test_q3_descent_exact_mod_p(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or product(a, b))
     layer1 = descend_layer(layer2, vars2, num1, den1, q, "layer1 1/x")
     monkeypatch.undo()
-    # scalar * num^t den^(M - t) is formed once per distinct scalar and t of an
+    # every layer1 equation clears den (M = 2), so no base is 1: scalar *
+    # num^t den^(M - t) is formed once per distinct scalar and t of an
     # equation, not once per monomial in the layer variables (7348 products)
     assert len(products) == 1702
     values = _check_reassembly(layer2, layer1, vars2, q, num1, den1, seed=34)
@@ -414,6 +432,27 @@ def test_q3_descent_exact_mod_p(monkeypatch):
                      18450, 15375, 12300, 16380, 13650, 10920, 13860, 11550, 9240]
     assert sum(terms) == 520529
     assert _value_digest(layer1, values) == "7380fb63ae1515d4"
+
+
+def test_q3_xi_descent_builds_no_multipoly_per_group(monkeypatch):
+    """Where every base is 1, a monomial group's scalar is used as it is.
+
+    The xi descent of the q = 3 layer2 output has 1,225 groups of terms
+    sharing a monomial in the layer variables; none of them is wrapped in a
+    MultiPoly or multiplied.
+    """
+    q = 3
+    layer2 = _q3_layers()[1][1]
+    inits = []
+    init = MultiPoly.__init__
+    monkeypatch.setattr(MultiPoly, "__init__",
+                        lambda self, *args: inits.append(1) or init(self, *args))
+    xi = descend_cyclotomic(layer2, _layer2_vars(layer2), q)
+    monkeypatch.undo()
+    outputs = (q - 1) * len(layer2.equations)  # Gamma^0..Gamma^(q-2) of each equation
+    embedded = len(layer2.inequations)  # each inequation, in the child's registry
+    constants = 2  # the descent's constant 1, and its Gamma table's
+    assert (len(xi.equations), len(inits)) == (outputs, outputs + embedded + constants) == (18, 22)
 
 
 def _random_poly(rng, n, exponent_bounds, size):
