@@ -1,9 +1,9 @@
 """Local prime data propagated through radical layers, without global fields.
 
 A LocalPrime is one node of a layer-by-layer analysis: (e, f) over Q, the
-valuations of tracked elements, and unit residues recorded in the residue
-field where the element was first seen.  Extending by a q-th root applies
-the tame rule table:
+valuations of tracked elements, and unit residues in the residue field of
+the start node, each formed on its first read.  Extending by a q-th root
+applies the tame rule table:
 
   * v(u) !== 0 mod q, p not| q  -> one child, e * q    (total tame ramification)
   * v(u) = 0, residue a q-th power -> q children unchanged (complete split)
@@ -28,6 +28,7 @@ the exact 2-adic Hilbert symbol, not a guess.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import MissingRootOfUnity, MissingTrace, NormforgeError
 from .finitefield import power_test_in_extension
@@ -71,14 +72,25 @@ class LocalVerdict:
 
 
 class Tracked:
-    """Valuation plus (for the unit part) a residue recorded at track time."""
+    """Valuation plus (for the unit part) a residue.  With `form`, the entry is
+    formed on its first read by form(arg) -> (v, residue, fresh), once for all
+    the nodes that share it; the entries of one node share their `form`."""
 
-    __slots__ = ("v", "residue", "fresh")
+    __slots__ = ("v", "residue", "fresh", "_form", "_arg")
 
-    def __init__(self, v, residue=None, fresh=True):
-        self.v = v
-        self.residue = residue  # FFElem in the recording residue field, or None
-        self.fresh = fresh
+    def __init__(self, v=None, residue=None, fresh=True, form=None, arg=None):
+        self._form, self._arg = form, arg
+        if v is not None:  # a valuation known up front is read without forming
+            self.v, self.fresh = v, fresh
+        if form is None:
+            self.residue = residue  # an FFElem in the recording residue field, or None
+
+    def __getattr__(self, name):  # reached only while a slot is unset: form the entry
+        if name not in ("v", "residue", "fresh"):
+            raise AttributeError(name)
+        self.v, self.residue, self.fresh = self._form(self._arg)
+        self._form = self._arg = None
+        return getattr(self, name)
 
     def __repr__(self):
         return f"Tracked(v={self.v}, fresh={self.fresh})"
@@ -111,8 +123,8 @@ class LocalPrime:
         return self.tracked[key]
 
     def child(self, e_mult=1, f_mult=1, note="", indeterminate=False, twist=None):
-        """Derived node; `twist` refreshes unit residues through a tame
-        totally ramified step.
+        """Derived node; a ramified child derives its entries on first read,
+        and `twist` refreshes unit residues through that tame step.
 
         For a layer from radicand r with v(r) = w prime to q, the new
         uniformizer is Pi = (r^(1/q))^alpha pi^beta (alpha w + beta q = 1),
@@ -121,24 +133,11 @@ class LocalPrime:
         (u_r_residue, alpha); the residue field is unchanged.
         """
         if e_mult == 1:
-            tracked = dict(self.tracked)  # Tracked entries are never mutated, so they are shared
+            tracked = dict(self.tracked)  # entries never change once formed, so they are shared
         else:
-            tracked = {}
-            powers = {}  # u_r^expo, each computed once per child
-            for key, t in self.tracked.items():
-                v = t.v * e_mult
-                if t.v == 0:
-                    res, fresh = t.residue, t.fresh
-                elif (twist is not None and twist[0] is not None
-                      and t.fresh and t.residue is not None):
-                    u_r_res, alpha = twist
-                    expo = (-alpha * t.v) % (u_r_res.field.order - 1)
-                    if expo not in powers:
-                        powers[expo] = u_r_res ** expo
-                    res, fresh = t.residue * powers[expo], True
-                else:
-                    res, fresh = t.residue, False
-                tracked[key] = Tracked(v, res, fresh)
+            # one form for the child's entries; `powers` forms each u_r^expo once
+            form = partial(_ramified_entry, e_mult=e_mult, twist=twist, powers={})
+            tracked = {key: Tracked(form=form, arg=t) for key, t in self.tracked.items()}
         return LocalPrime(
             self.p,
             self.e * e_mult,
@@ -211,6 +210,19 @@ def radical_children(lp, u_key, q, u_minus_one_key=None):
     if is_power:
         return [lp.child(note=f"split({u_key}): residue is a q-th power")] * q
     return [lp.child(f_mult=q, note=f"inert({u_key}): residue not a q-th power")]
+
+
+def _ramified_entry(t, e_mult, twist, powers):
+    """(v, residue, fresh) of the parent entry t through a ramified step."""
+    if t.v == 0:
+        return 0, t.residue, t.fresh
+    if twist is None or not t.fresh or t.residue is None:
+        return t.v * e_mult, t.residue, False
+    u_r_res, alpha = twist
+    expo = (-alpha * t.v) % (u_r_res.field.order - 1)
+    if expo not in powers:
+        powers[expo] = u_r_res ** expo
+    return t.v * e_mult, t.residue * powers[expo], True
 
 
 def leaves_to_json(leaves):
@@ -292,15 +304,11 @@ def _tame_ramified_verdict(lp, rhs, c_key, q):
     field = rhs.residue.field
     if c.residue.field != field:
         return LocalVerdict.indeterminate("rhs and c residues recorded in different fields")
-    norm_c_res = c.residue if q % 2 == 1 else _negate(c.residue)
+    norm_c_res = c.residue if q % 2 == 1 else field.zero() - c.residue
     w = rhs.residue * (norm_c_res.inverse() ** t)
     if power_test_in_extension(w, q, lp.f):
         return LocalVerdict.solvable("tame ramified: stripped unit part is a q-th power residue")
     return LocalVerdict.unsolvable("tame ramified: stripped unit part is not a q-th power residue")
-
-
-def _negate(res):
-    return res.field.zero() - res
 
 
 def archimedean_check(field_K, c, rhs, q):

@@ -75,7 +75,7 @@ class NormEquationInstance:
 
 
 class LocalLedger:
-    """Per-prime verdicts plus which protective condition held at each."""
+    """Per-prime verdicts, the protective conditions held, and leaves that to_json serializes."""
 
     def __init__(self):
         self.entries = []  # dicts
@@ -90,7 +90,7 @@ class LocalLedger:
                 "conditions": conditions,
                 "note": note,
                 "level": "base tower truncation (three layers)",
-                "local_trace": leaves_to_json(leaves) if leaves else [],
+                "local_trace": leaves or [],
             }
         )
 
@@ -107,7 +107,7 @@ class LocalLedger:
 
     def to_json(self):
         return {
-            "entries": self.entries,
+            "entries": [dict(e, local_trace=leaves_to_json(e["local_trace"])) for e in self.entries],
             "archimedean": self.archimedean.to_json() if self.archimedean else None,
             "global": self.global_verdict.to_json() if self.global_verdict else None,
         }
@@ -171,8 +171,8 @@ def analyze(instance):
     interest = primes_of_interest(spec, extra=instance.S)
     poles_outside_w = []
     none_hold = []
-    for P in interest:
-        start = start_node(spec, P)
+    for P, known in interest.items():
+        start = start_node(spec, P, known)
         conds, (vx, _, vc), _ = protective_conditions(spec, start)
         verdict, note, leaves = _prime_verdict(instance, P, start)
         ledger.add(P, verdict, conds, note, leaves=leaves)

@@ -411,6 +411,8 @@ def sign_at_root(g, f, interval):
     a field's defining polynomial and an element: then g(root) != 0, so the
     refinement ends once g's enclosure excludes 0.
     """
+    if len(g.num) == 1:  # a rational g has its own sign at every root
+        return 1 if g.num[0] > 0 else -1
     iv = interval
     while True:
         lo, hi = g.eval_interval(iv.lo, iv.hi)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .intfunc import is_prime
 from .kpoly import has_primitive_root_of_unity
-from .local import LocalPrime, leaves_to_json, radical_children
+from .local import LocalPrime, Tracked, leaves_to_json, radical_children
 from .modp import _frac_mod
 from .numberfield import (
     element_support,
@@ -114,47 +114,51 @@ class RadicalTowerSpec:
 def primes_of_interest(spec, extra=()):
     """Support of the divisors of the defining elements, plus primes over q.
 
-    This is the finite set Props 3.6/3.8 quantify over.
+    This is the finite set Props 3.6/3.8 quantify over, as {P: {name: v}} in
+    (p, index) order, v the valuation of x, second or third at P.
     """
-    seen = {}
-    for elem in (spec.x, spec.second, spec.third):
-        for P, _ in element_support(spec.field, elem):
+    names = ("x", spec.second_name, spec.third_name)
+    seen, support = {}, {}
+    for name, elem in zip(names, (spec.x, spec.second, spec.third)):
+        for P, v in element_support(spec.field, elem):
             seen[(P.p, P.index)] = P
+            support[(P.p, P.index), name] = v
     for Q in splitting_type(spec.field, spec.q):
         seen[(Q.p, Q.index)] = Q
     for P in extra:
         seen[(P.p, P.index)] = P
-    return [seen[k] for k in sorted(seen)]
+    return {seen[k]: {name: support.get((k, name), 0) for name in names} for k in sorted(seen)}
 
 
-def tracked_node(field, P, q, elements):
-    """LocalPrime at P tracking each named element: valuation and residue.
+def tracked_node(field, P, q, elements, known=None):
+    """LocalPrime at P tracking each named element, each entry formed on its first read.
 
     The residue is that of the element's unit part, alpha / pi^v, read off
     one p-adic image at e = 1 (`padic_unit`); at e > 1 it takes a
     valuation, a power of the uniformizer cached on P and a residue map.  At
-    a factor of q only units get one.  A zero element gets the valuation
-    10**9, a stand-in for +infinity that passes every guard.
+    a factor of q only units keep one.  A valuation in `known` is read
+    without forming, and a zero element gets 10**9, a stand-in for +infinity
+    that passes every guard.
     """
     node = LocalPrime(P.p, P.e, P.f_deg)
+    keep, known = P.p != q, known or {}
+    entry = lambda v, res: (v, res if keep or v == 0 else None, True)  # (v, residue, fresh)
+    if P.e == 1:
+        form = lambda val: entry(*padic_unit(field, P, val))
+    else:  # the residue of val / pi^v, formed only where it is kept
+        form = lambda val: entry(v := valuation(field, P, val), (keep or v == 0) and residue_map(
+            field, P, val * uniformizer(field, P) ** -v if v else val))
     for key, val in elements.items():
         if val.is_zero():
             node.track(key, 10 ** 9)
-            continue
-        if P.e == 1:
-            v, res = padic_unit(field, P, val)
         else:
-            v = valuation(field, P, val)
-            res = None
-            if v == 0 or P.p != q:
-                res = residue_map(field, P, val * uniformizer(field, P) ** (-v) if v else val)
-        node.track(key, v, res if v == 0 or P.p != q else None)
+            node.tracked[key] = Tracked(known.get(key), form=form, arg=val)
     return node
 
 
-def start_node(spec, P):
+def start_node(spec, P, known=None):
     """LocalPrime at P with every tower element tracked (valuation, residue)."""
-    return tracked_node(spec.field, P, spec.q, spec.elements())
+    return tracked_node(spec.field, P, spec.q, spec.elements(), known)
 
 
 def chain_layers(spec, start):

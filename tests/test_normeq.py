@@ -143,7 +143,7 @@ def _leaf_data(leaves):
     if isinstance(leaves, tuple):  # the outcome of a raised error
         return leaves
     return [(n.p, n.e, n.f, n.trace, n.indeterminate,
-             sorted((key, t.v, t.fresh) for key, t in n.tracked.items())) for n in leaves]
+             sorted((key, n.get(key).v, n.get(key).fresh) for key in n.tracked)) for n in leaves]
 
 
 def _analysis(instance):
@@ -192,7 +192,7 @@ def test_shared_split_siblings_match_a_copy_per_sibling_expansion(monkeypatch):
 def test_a_fully_split_prime_expands_and_judges_one_node_per_layer(monkeypatch):
     # at a prime of Q(zeta3) over 7 all three q = 3 layers split completely
     # and so does the norm layer: 27 leaves are one shared node, expanded
-    # once per layer, judged once and serialized once
+    # once per layer, judged once, and serialized once, by the ledger's to_json
     from normforge import local, normeq, radical
 
     calls = {"expand": 0, "judge": 0, "json": 0}
@@ -214,7 +214,47 @@ def test_a_fully_split_prime_expands_and_judges_one_node_per_layer(monkeypatch):
     assert (calls["expand"], calls["judge"]) == (3, 1)
     ledger = normeq.LocalLedger()
     ledger.add(P, verdict, [], note, leaves=leaves)
-    assert calls["json"] == 1 and len(ledger.entries[0]["local_trace"]) == 27
+    assert calls["json"] == 0
+    assert len(ledger.to_json()["entries"][0]["local_trace"]) == 27 and calls["json"] == 1
+
+
+def test_a_verdict_forms_only_the_entries_it_reads(monkeypatch):
+    # tracked entries are formed on first read.  Over Q at q = 2 with
+    # c = 17, v_2(c - 1) = 4 >= 3 v_2(2): the start node at 2 returns by
+    # guard transport and forms c - 1 alone, with no residue.  The chained
+    # primes 3, 5 and 17 ramify, split and stay inert, and read no r - 1;
+    # v(x) and v(b) come from their supports, so neither is formed at all.
+    from normforge import normeq, radical
+
+    instance = NormEquationInstance(Q, 2, Fraction(3, 5), Fraction(1, 3), 17)
+    spec = instance.spec
+    keys = {id(val): key for key, val in spec.elements().items()}
+    formed = []
+
+    def spy(name):
+        real = getattr(radical, name)
+
+        def wrapper(field, P, alpha):
+            formed.append((P.p, name, keys.get(id(alpha))))
+            return real(field, P, alpha)
+        return wrapper
+
+    for name in ("padic_unit", "valuation", "residue_map"):
+        monkeypatch.setattr(radical, name, spy(name))
+    P2, = splitting_type(Q, 2)
+    start = radical.start_node(spec, P2)
+    assert formed == []
+    verdict, note, leaves = normeq._prime_verdict(instance, P2, start)
+    assert (verdict.kind, note, leaves) == ("solvable", "guard-transport", None)
+    assert formed == [(2, "padic_unit", "cm1")] and start.get("cm1").residue is None
+    del formed[:]
+    verdict, ledger = analyze(instance)
+    traces = {leaf_trace.split("(")[0] for e in ledger.entries for leaf in e["local_trace"]
+              for leaf_trace in leaf.trace}
+    assert verdict.kind == "solvable" and traces == {"ramified", "split", "inert"}
+    assert {p for p, _, _ in formed} == {2, 3, 5, 17}
+    assert {key for _, _, key in formed} & {"x", "b", "r1m1", "r2m1", "r3m1"} == set()
+    assert {name for _, name, _ in formed} == {"padic_unit"}
 
 
 def test_analyze_direct_agrees_with_hilbert_symbols_on_grid():

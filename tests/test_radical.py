@@ -457,7 +457,8 @@ def test_tracked_node_at_a_factor_of_q_of_residue_degree_two():
                 for k in range(40)}
     node = tracked_node(K3, P, 2, {k: a for k, a in elements.items() if not a.is_zero()})
     vs = set()
-    for key, t in node.tracked.items():
+    for key in node.tracked:
+        t = node.get(key)
         v = valuation(K3, P, elements[key])
         vs.add(v)
         assert (t.v, t.residue) == (v, residue_map(K3, P, elements[key]) if v == 0 else None)
@@ -477,9 +478,9 @@ def test_ledgers_and_reports_at_f2_and_e2_primes_byte_pinned(monkeypatch):
     reached = set()
     real = radical.tracked_node
 
-    def spy(field, P, q, elements):
+    def spy(field, P, q, elements, known=None):
         reached.add((P.e, P.f_deg, P.p == q))
-        return real(field, P, q, elements)
+        return real(field, P, q, elements, known)
 
     monkeypatch.setattr(radical, "tracked_node", spy)
     rng = random.Random(2806)
@@ -494,7 +495,7 @@ def test_ledgers_and_reports_at_f2_and_e2_primes_byte_pinned(monkeypatch):
         except NormforgeError as exc:
             out.append(type(exc).__name__)
             continue
-        for P in primes_of_interest(spec)[:3]:
+        for P in list(primes_of_interest(spec))[:3]:
             try:
                 out.append(verify_proposition("badprime", spec, P).to_json())
             except HypothesisFail as exc:
